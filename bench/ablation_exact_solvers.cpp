@@ -101,9 +101,10 @@ int main(int argc, char** argv) {
   // ---- (b) Bareiss vs multi-modular on the vech system -------------------
   std::printf("\nABLATION — exact linear solve backend on the vech system "
               "(budget %.0fs per cell)\n", budget);
-  std::printf("%-8s %6s %6s %14s %14s %10s %8s %8s  %s\n", "model", "dim",
-              "vech-N", "bareiss (s)", "modular (s)", "speedup", "primes",
-              "same", "elim/crt/rec/ver (s)");
+  std::printf("%-8s %6s %6s %14s %14s %10s %8s %8s  %-24s %s\n", "model",
+              "dim", "vech-N", "bareiss (s)", "modular (s)", "speedup",
+              "primes", "same", "elim/crt/rec/ver (s)",
+              "attempts/euclid/hit/miss");
   std::ostringstream rows;
   bool first = true;
   for (const auto& bm : model::make_benchmark_family()) {
@@ -170,15 +171,20 @@ int main(int argc, char** argv) {
     char ratio[32] = "-";
     if (t_bareiss > 0 && t_modular > 0)
       std::snprintf(ratio, sizeof ratio, "%.1fx", t_bareiss / t_modular);
-    char b1[32], b2[32], phases[64];
+    char b1[32], b2[32], phases[64], rec_counts[64];
     std::snprintf(phases, sizeof phases, "%.2f/%.2f/%.2f/%.2f",
                   stats.elim_seconds, stats.crt_seconds,
                   stats.reconstruct_seconds, stats.verify_seconds);
-    std::printf("%-8s %6zu %6zu %14s %14s %10s %8llu %8s  %s\n",
+    std::snprintf(rec_counts, sizeof rec_counts, "%llu/%llu/%llu/%llu",
+                  static_cast<unsigned long long>(stats.attempts),
+                  static_cast<unsigned long long>(stats.euclid_calls),
+                  static_cast<unsigned long long>(stats.shared_den_hits),
+                  static_cast<unsigned long long>(stats.shared_den_misses));
+    std::printf("%-8s %6zu %6zu %14s %14s %10s %8llu %8s  %-24s %s\n",
                 bm.name.c_str(), d, op.rows(), cell(t_bareiss, b1),
                 cell(t_modular, b2), ratio,
                 static_cast<unsigned long long>(stats.primes_used),
-                both ? (identical ? "yes" : "NO") : "-", phases);
+                both ? (identical ? "yes" : "NO") : "-", phases, rec_counts);
 
     rows << (first ? "\n" : ",\n") << "    {\"model\": \"" << bm.name
          << "\", \"size\": " << bm.size << ", \"dim\": " << d
@@ -193,6 +199,10 @@ int main(int argc, char** argv) {
          << ", \"crt_seconds\": " << stats.crt_seconds
          << ", \"reconstruct_seconds\": " << stats.reconstruct_seconds
          << ", \"verify_seconds\": " << stats.verify_seconds
+         << ", \"attempts\": " << stats.attempts
+         << ", \"euclid_calls\": " << stats.euclid_calls
+         << ", \"shared_den_hits\": " << stats.shared_den_hits
+         << ", \"shared_den_misses\": " << stats.shared_den_misses
          << ", \"crt_reconstruct_speedup\": "
          << (speedup_crt_rec < 0 ? -1.0 : speedup_crt_rec)
          << ", \"identical\": " << (identical ? "true" : "false") << "}";

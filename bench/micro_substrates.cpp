@@ -40,15 +40,34 @@ void BM_BigIntMultiply(benchmark::State& state) {
 BENCHMARK(BM_BigIntMultiply)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_BigIntGcd(benchmark::State& state) {
-  // Operands sharing a large common factor — the shape Rational
-  // cross-cancellation feeds the binary gcd on the exact hot path.
-  const auto limbs = static_cast<unsigned>(state.range(0));
-  const exact::BigInt g = exact::BigInt{"987654321987654321"}.pow(limbs);
-  const exact::BigInt a = g * exact::BigInt{"1000000007"};
-  const exact::BigInt b = g * exact::BigInt{"998244353"};
+  // range(1) == 0: operands sharing a large common factor — the shape
+  // Rational cross-cancellation feeds gcd() (range(0) powers of a 60-bit
+  // base).  range(1) == 1: coprime random operands of range(0) 32-bit
+  // limbs — the det-sized pairs of the modular solver's shared-denominator
+  // reconstruction (350 limbs ~ 11.2k bits, a size-15 vech determinant).
+  const auto n = static_cast<unsigned>(state.range(0));
+  exact::BigInt a, b;
+  if (state.range(1) == 0) {
+    const exact::BigInt g = exact::BigInt{"987654321987654321"}.pow(n);
+    a = g * exact::BigInt{"1000000007"};
+    b = g * exact::BigInt{"998244353"};
+  } else {
+    std::mt19937_64 rng{n};
+    for (unsigned i = 0; i < n; ++i) {
+      a = a.shifted_left(32) + exact::BigInt{static_cast<std::int64_t>(rng() >> 32)};
+      b = b.shifted_left(32) + exact::BigInt{static_cast<std::int64_t>(rng() >> 32)};
+    }
+    const exact::BigInt g = exact::BigInt::gcd(a, b);
+    a /= g;  // coprime, both still ~32n bits
+    b /= g;
+  }
   for (auto _ : state) benchmark::DoNotOptimize(exact::BigInt::gcd(a, b));
 }
-BENCHMARK(BM_BigIntGcd)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_BigIntGcd)
+    ->Args({1, 0})
+    ->Args({4, 0})
+    ->Args({16, 0})
+    ->Args({350, 1});
 
 void BM_BigIntSmallVecAddMul(benchmark::State& state) {
   // The small-operand fast paths of the pooled-limb BigInt: Arg(1) stays on

@@ -72,7 +72,7 @@ JobPool::~JobPool() {
     std::lock_guard<std::mutex> lock(signal_mutex_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  for (auto& w : workers_) w->wake.notify_all();
   for (auto& t : threads_) t.join();
 }
 
@@ -80,16 +80,22 @@ void JobPool::submit(Job job) {
   std::size_t target;
   {
     std::lock_guard<std::mutex> lock(signal_mutex_);
-    target = next_worker_;
-    next_worker_ = (next_worker_ + 1) % workers_.size();
     ++pending_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mutex);
+    if (!idle_.empty()) {
+      target = idle_.back();
+      idle_.pop_back();
+      workers_[target]->parked = false;
+    } else {
+      target = next_worker_;
+      next_worker_ = (next_worker_ + 1) % workers_.size();
+    }
+    // Pushed under signal_mutex_, so a worker deciding to park (which
+    // checks any_work() under it too) cannot miss this job.
+    std::lock_guard<std::mutex> wlock(workers_[target]->mutex);
     workers_[target]->jobs.push_back(std::move(job));
   }
   queue_depth_.add(1);
-  work_cv_.notify_one();
+  workers_[target]->wake.notify_one();
 }
 
 void JobPool::wait_idle() {
@@ -135,22 +141,22 @@ bool JobPool::try_pop(std::size_t self, Job& out) {
 }
 
 void JobPool::run_worker(std::size_t self) {
+  Worker& me = *workers_[self];
   for (;;) {
     Job job;
-    if (!try_pop(self, job)) {
-      std::unique_lock<std::mutex> lock(signal_mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || any_work(); });
-      if (stop_ && !any_work()) return;
-      continue;
+    const bool ran = try_pop(self, job);
+    if (ran) {
+      job();
+      job = nullptr;  // release captures before the job counts as done
+      jobs_executed_.add(1);
     }
-    job();
-    jobs_executed_.add(1);
-    bool idle;
-    {
-      std::lock_guard<std::mutex> lock(signal_mutex_);
-      idle = --pending_ == 0;
-    }
-    if (idle) idle_cv_.notify_all();
+    std::unique_lock<std::mutex> lock(signal_mutex_);
+    if (ran && --pending_ == 0) idle_cv_.notify_all();
+    if (any_work()) continue;
+    if (stop_) return;
+    idle_.push_back(self);
+    me.parked = true;
+    me.wake.wait(lock, [this, &me] { return stop_ || !me.parked; });
   }
 }
 

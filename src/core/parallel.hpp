@@ -56,7 +56,10 @@ class JobPool {
   JobPool(const JobPool&) = delete;
   JobPool& operator=(const JobPool&) = delete;
 
-  /// Enqueue a job (round-robin over the worker deques).
+  /// Enqueue a job.  It goes to the worker that went idle most recently,
+  /// so a lone sequential caller keeps reusing one warm worker (its
+  /// caches and its malloc arena); with every worker busy, it goes
+  /// round-robin onto their deques and idle workers steal it.
   void submit(Job job);
 
   /// Block until every submitted job has finished.
@@ -72,6 +75,8 @@ class JobPool {
   struct Worker {
     std::mutex mutex;
     std::deque<Job> jobs;
+    std::condition_variable wake;  ///< handed a job, or stop
+    bool parked = false;           ///< on idle_ (guarded by signal_mutex_)
   };
 
   void run_worker(std::size_t self);
@@ -81,11 +86,14 @@ class JobPool {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   mutable std::mutex signal_mutex_;
-  std::condition_variable work_cv_;  ///< workers: new work or stop
   std::condition_variable idle_cv_;  ///< wait_idle: pending reached zero
   std::size_t pending_ = 0;          ///< submitted but not yet finished
   bool stop_ = false;
-  std::size_t next_worker_ = 0;  ///< round-robin submission cursor
+  /// Parked workers, most recently idle last.  A worker parks in the same
+  /// critical section that retires its last job, so once wait_idle
+  /// returns, the worker that finished last is on top.
+  std::vector<std::size_t> idle_;
+  std::size_t next_worker_ = 0;  ///< round-robin cursor when none is idle
   CancelToken token_;
   // Pool observability (global registry, shared by every pool in the
   // process): resolved once here so the submit/pop path never locks it.

@@ -514,67 +514,83 @@ std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
 BigInt BigInt::gcd(BigInt a, BigInt b) {
   a.negative_ = false;
   b.negative_ = false;
-  if (a.is_zero()) return b;
-  if (b.is_zero()) return a;
-  if (a.limbs_.size() <= 2 && b.limbs_.size() <= 2) {
-    a.set_mag_u128(gcd_u64(a.mag_u64(), b.mag_u64()), false);
-    return a;
-  }
-  auto trailing_zeros = [](const Limbs& v) {
-    std::size_t bits = 0;
-    std::size_t i = 0;
-    while (v[i] == 0) {
-      bits += kLimbBits;
-      ++i;
-    }
-    return bits + static_cast<std::size_t>(std::countr_zero(v[i]));
+  if (compare_magnitude(a.limbs_, b.limbs_) < 0) a.limbs_.swap(b.limbs_);
+  // Lehmer's algorithm (Knuth, TAOCP 4.5.2, Algorithm L).  Each round runs
+  // Euclid on the leading kWindow bits of a and the same bits of b,
+  // accepting a word quotient only while both bracketing estimates agree
+  // (so it is the true multi-limb quotient), and accumulates the signed
+  // cofactor matrix [[A, B], [C, D]].  One in-place pass over the limbs
+  // then applies the matrix to both operands.  Quotients and cofactors
+  // stay below kCofactorCap, so the word arithmetic cannot overflow int64.
+  // A round that accepts no quotient (a/b beyond the window) takes one
+  // divmod.
+  constexpr std::size_t kWindow = 62;
+  constexpr std::int64_t kCofactorCap = std::int64_t{1} << 31;
+  auto window = [](const Limbs& v, std::size_t shift) {
+    const std::size_t li = shift / kLimbBits;
+    unsigned __int128 w = 0;
+    for (std::size_t j = 0; j < 3 && li + j < v.size(); ++j)
+      w |= static_cast<unsigned __int128>(v[li + j]) << (kLimbBits * j);
+    return static_cast<std::int64_t>(w >> (shift % kLimbBits));
   };
-  auto shr_in_place = [](Limbs& v, std::size_t bits) {
-    const std::size_t limb_shift = bits / kLimbBits;
-    const unsigned bit_shift = static_cast<unsigned>(bits % kLimbBits);
-    if (limb_shift) v.erase_prefix(limb_shift);
-    if (bit_shift && !v.empty()) {
-      for (std::size_t i = 0; i + 1 < v.size(); ++i)
-        v[i] = (v[i] >> bit_shift) | (v[i + 1] << (kLimbBits - bit_shift));
-      v.back() >>= bit_shift;
-    }
+  auto trim_limbs = [](Limbs& v) {
     while (!v.empty() && v.back() == 0) v.pop_back();
   };
-  auto fits_u64 = [](const Limbs& v) { return v.size() <= 2; };
-  auto to_u64 = [](const Limbs& v) {
-    std::uint64_t out = v.empty() ? 0 : v[0];
-    if (v.size() == 2) out |= static_cast<std::uint64_t>(v[1]) << 32;
-    return out;
-  };
-  // gcd(a, b) = 2^common * gcd(a odd-part, b odd-part) — factor the shared
-  // power of two out once, then run odd-only Stein.
-  const std::size_t common =
-      std::min(trailing_zeros(a.limbs_), trailing_zeros(b.limbs_));
-  shr_in_place(a.limbs_, trailing_zeros(a.limbs_));
-  shr_in_place(b.limbs_, trailing_zeros(b.limbs_));
-  std::uint64_t word_gcd = 0;
-  for (;;) {
-    if (fits_u64(a.limbs_) && fits_u64(b.limbs_)) {
-      word_gcd = gcd_u64(to_u64(a.limbs_), to_u64(b.limbs_));
-      break;
+  b.limbs_.reserve(a.limbs_.size());
+  while (a.limbs_.size() > 2) {
+    if (b.limbs_.empty()) return a;
+    const std::size_t shift = a.bit_length() - kWindow;
+    std::int64_t uh = window(a.limbs_, shift);
+    std::int64_t vh = window(b.limbs_, shift);
+    std::int64_t ca = 1, cb = 0, cc = 0, cd = 1;  // A, B, C, D
+    for (;;) {
+      const std::int64_t vc = vh + cc;
+      const std::int64_t vd = vh + cd;
+      if (vc <= 0 || vd <= 0 || uh + ca < 0 || uh + cb < 0) break;
+      const std::int64_t q = (uh + ca) / vc;
+      if (q <= 0 || q >= kCofactorCap || q != (uh + cb) / vd) break;
+      const std::int64_t nc = ca - q * cc;
+      const std::int64_t nd = cb - q * cd;
+      if (nc <= -kCofactorCap || nc >= kCofactorCap ||
+          nd <= -kCofactorCap || nd >= kCofactorCap)
+        break;
+      ca = cc;
+      cb = cd;
+      cc = nc;
+      cd = nd;
+      const std::int64_t nv = uh - q * vh;
+      uh = vh;
+      vh = nv;
     }
-    const int cmp = compare_magnitude(a.limbs_, b.limbs_);
-    if (cmp == 0) {
-      word_gcd = 0;  // answer is a itself
-      break;
+    if (cb == 0) {
+      // No quotient accepted: one full Euclidean step.
+      Limbs r = divmod_magnitude(a.limbs_, b.limbs_).second;
+      a.limbs_.swap(b.limbs_);
+      b.limbs_ = std::move(r);
+      continue;
     }
-    if (cmp < 0) a.limbs_.swap(b.limbs_);
-    // a, b odd and a > b: a - b is even, so at least one halving follows.
-    a.limbs_ = sub_magnitude(a.limbs_, b.limbs_);
-    shr_in_place(a.limbs_, trailing_zeros(a.limbs_));
+    // (a, b) <- (A*a + B*b, C*a + D*b): two consecutive remainders of the
+    // true sequence, so both are non-negative and a > b.
+    const std::size_t na = a.limbs_.size();
+    b.limbs_.resize(na, 0);
+    Limb* pa = a.limbs_.data();
+    Limb* pb = b.limbs_.data();
+    __int128 carry_a = 0, carry_b = 0;
+    for (std::size_t i = 0; i < na; ++i) {
+      const std::int64_t ai = pa[i];
+      const std::int64_t bi = pb[i];
+      carry_a += static_cast<__int128>(ca) * ai + static_cast<__int128>(cb) * bi;
+      carry_b += static_cast<__int128>(cc) * ai + static_cast<__int128>(cd) * bi;
+      pa[i] = static_cast<Limb>(carry_a);
+      pb[i] = static_cast<Limb>(carry_b);
+      carry_a >>= kLimbBits;
+      carry_b >>= kLimbBits;
+    }
+    trim_limbs(a.limbs_);
+    trim_limbs(b.limbs_);
   }
-  BigInt g;
-  if (word_gcd != 0) {
-    g.set_mag_u128(word_gcd, false);
-  } else {
-    g.limbs_ = std::move(a.limbs_);
-  }
-  return common ? g.shifted_left(common) : g;
+  a.set_mag_u128(gcd_u64(a.mag_u64(), b.mag_u64()), false);
+  return a;
 }
 
 std::uint64_t BigInt::mod_u64(std::uint64_t m) const {

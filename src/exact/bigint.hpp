@@ -122,12 +122,6 @@ class LimbVec {
     std::memmove(data(), first, n * sizeof(value_type));
     size_ = static_cast<std::uint32_t>(n);
   }
-  /// Drop the k least-significant limbs (right shift by whole limbs).
-  void erase_prefix(std::size_t k) noexcept {
-    value_type* p = data();
-    std::memmove(p, p + k, (size_ - k) * sizeof(value_type));
-    size_ -= static_cast<std::uint32_t>(k);
-  }
   void swap(LimbVec& other) noexcept {
     LimbVec tmp = std::move(*this);
     *this = std::move(other);
@@ -213,9 +207,10 @@ class BigInt {
                                                          const BigInt& den);
 
   /// Greatest common divisor, always non-negative. gcd(0,0) == 0.
-  /// Binary (Stein) algorithm: shift/subtract only — no divmod per step —
-  /// with a single-word kernel once both operands fit in uint64.  This
-  /// sits under every Rational::normalize() on the exact hot path.
+  /// Lehmer's algorithm: word-sized Euclid on the leading bits, applied
+  /// to both operands in place (no allocation per round), then a
+  /// single-word kernel once both fit in uint64.  This sits under every
+  /// Rational::normalize() and the modular solver's reconstruction.
   [[nodiscard]] static BigInt gcd(BigInt a, BigInt b);
 
   /// Canonical residue of the signed value in [0, m); throws

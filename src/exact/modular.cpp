@@ -129,7 +129,9 @@ enum class PrimeStatus { Abandoned, Unlucky, Ok };
 struct PrimeSolve {
   std::uint64_t prime = 0;
   PrimeStatus status = PrimeStatus::Abandoned;
-  /// Plain (non-Montgomery) solution residues, row-major n x k.
+  /// Plain (non-Montgomery) solution residues, row-major n x k, followed
+  /// by det(M) mod p (the Cramer common denominator, CRT-folded as one
+  /// extra entry).
   std::vector<std::uint64_t> x;
 };
 
@@ -151,6 +153,8 @@ void solve_one_prime(const detail::IntSystem& sys, std::size_t n,
     for (std::size_t c = 0; c < k; ++c)
       t[i * w + n + c] = mont.to_mont(sys.rhs[i][c].mod_u64(p));
   }
+  std::uint64_t det = mont.one();
+  bool negate = false;
   for (std::size_t col = 0; col < n; ++col) {
     if (deadline.expired()) return;  // status stays Abandoned
     std::size_t pivot = n;
@@ -164,10 +168,13 @@ void solve_one_prime(const detail::IntSystem& sys, std::size_t n,
       out.status = PrimeStatus::Unlucky;  // det == 0 mod p
       return;
     }
-    if (pivot != col)
+    if (pivot != col) {
       std::swap_ranges(t.begin() + static_cast<std::ptrdiff_t>(pivot * w),
                        t.begin() + static_cast<std::ptrdiff_t>((pivot + 1) * w),
                        t.begin() + static_cast<std::ptrdiff_t>(col * w));
+      negate = !negate;
+    }
+    det = mont.mul(det, t[col * w + col]);
     const std::uint64_t inv_pivot = mont.inv(t[col * w + col]);
     for (std::size_t r = col + 1; r < n; ++r) {
       const std::uint64_t lead = t[r * w + col];
@@ -181,7 +188,9 @@ void solve_one_prime(const detail::IntSystem& sys, std::size_t n,
   // Back substitution; diagonal inverses are shared across RHS columns.
   std::vector<std::uint64_t> dinv(n);
   for (std::size_t i = 0; i < n; ++i) dinv[i] = mont.inv(t[i * w + i]);
-  out.x.assign(n * k, 0);
+  out.x.assign(n * k + 1, 0);
+  det = mont.from_mont(det);
+  out.x[n * k] = negate ? p - det : det;  // det != 0: the prime is lucky
   std::vector<std::uint64_t> xm(n);
   for (std::size_t c = 0; c < k; ++c) {
     for (std::size_t i = n; i-- > 0;) {
@@ -475,7 +484,7 @@ std::optional<Rational> rational_reconstruct(const BigInt& u, const BigInt& m,
   }
   if (den > bound) return std::nullopt;
   if (!BigInt::gcd(num, den).is_one()) return std::nullopt;
-  return Rational{std::move(num), std::move(den)};
+  return Rational::from_lowest_terms(std::move(num), std::move(den));
 }
 
 // ------------------------------------------------------------------ solve
@@ -491,26 +500,20 @@ struct EntryCand {
   bool valid = false;
 };
 
-/// Drop every cached candidate that disagrees with a freshly folded prime:
-/// a surviving candidate satisfies num == den * x (mod old m) and (mod p)
+/// Drop a cached candidate that disagrees with a freshly folded prime: a
+/// surviving candidate satisfies num == den * x (mod old m) and (mod p)
 /// for each new p, hence (mod current m) by CRT — with unchanged Wang
 /// bounds and gcd 1 it is *the* unique reconstruction at the current
 /// modulus, no Euclid needed.
-void revalidate_candidates(std::vector<EntryCand>& cands,
-                           const std::vector<BigInt>& xs,
-                           const std::vector<std::uint64_t>& fresh_primes) {
-  if (fresh_primes.empty()) return;
-  for (std::size_t e = 0; e < cands.size(); ++e) {
-    EntryCand& c = cands[e];
-    if (!c.valid) continue;
-    for (std::uint64_t p : fresh_primes) {
-      const std::uint64_t num_p = c.value.num().mod_u64(p);
-      const std::uint64_t den_p = c.value.den().mod_u64(p);
-      const std::uint64_t xe_p = xs[e].mod_u64(p);
-      if (num_p != mulmod_u64(den_p, xe_p, p)) {
-        c.valid = false;
-        break;
-      }
+void revalidate_candidate(EntryCand& c, const BigInt& xe,
+                          const std::vector<std::uint64_t>& fresh_primes) {
+  if (!c.valid) return;
+  for (std::uint64_t p : fresh_primes) {
+    const std::uint64_t num_p = c.value.num().mod_u64(p);
+    const std::uint64_t den_p = c.value.den().mod_u64(p);
+    if (num_p != mulmod_u64(den_p, xe.mod_u64(p), p)) {
+      c.valid = false;
+      return;
     }
   }
 }
@@ -527,6 +530,56 @@ void fold_lcm(BigInt& d, const BigInt& den) {
   if ((d % den).is_zero()) return;
   d = d / BigInt::gcd(d, den) * den;
 }
+
+/// Reconstruction counters of one solve (see ModularStats), bumped from
+/// the workers of the per-entry pass.
+struct RecCounts {
+  std::atomic<std::uint64_t> euclid{0};
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> misses{0};
+};
+
+/// How reconstruct_entry filled (or failed to fill) an entry.
+enum class EntryRoute { Cached, SharedDen, Euclid, Failed };
+
+/// Fill one entry's candidate at modulus m, unless a cached one survived.
+/// First via the shared denominator d — by Cramer all true denominators
+/// divide det(M), so x_e * d mod m lifted to the balanced range usually IS
+/// the numerator times a cofactor of d: one mulmod + gcd instead of an
+/// extended-Euclid pass — then by Euclid when that misses.  Both routes
+/// can only produce the unique Wang reconstruction, so which one serves an
+/// entry never changes its value.  Failed means the entry has no
+/// reconstruction at this modulus (fold more primes).
+EntryRoute reconstruct_entry(EntryCand& c, const BigInt& xe, const BigInt& d,
+                             const BigInt& m, const BigInt& bound,
+                             RecCounts& n) {
+  if (c.valid) return EntryRoute::Cached;
+  if (!d.is_one()) {
+    BigInt w = xe * d % m;
+    if (w + w > m) w -= m;  // balanced lift: w in (-m/2, m/2]
+    const BigInt g = BigInt::gcd(w, d);
+    BigInt num = w / g;
+    BigInt den = d / g;
+    if (num.abs() <= bound && den <= bound) {
+      // den > 0 and gcd(num, den) == 1 by construction.
+      c.value = Rational::from_lowest_terms(std::move(num), std::move(den));
+      c.valid = true;
+      ++n.hits;
+      return EntryRoute::SharedDen;
+    }
+    ++n.misses;
+  }
+  ++n.euclid;
+  auto entry = rational_reconstruct(xe, m, bound);
+  if (!entry) return EntryRoute::Failed;
+  c.value = std::move(*entry);
+  c.valid = true;
+  return EntryRoute::Euclid;
+}
+
+/// Consecutive shared-denominator hits after which the driver treats the
+/// running lcm as settled and fans the remaining entries out.
+constexpr std::size_t kSettledHits = 4;
 
 }  // namespace
 
@@ -551,11 +604,14 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
           : core::env::modular_checkpoint().value_or(4);
 
   const std::size_t entries = n * k;
-  std::vector<BigInt> xs(entries);  // CRT images of the solution entries
+  // CRT images of the solution entries, then of det(M).
+  std::vector<BigInt> xs(entries + 1);
   BigInt m{1};
   std::size_t prime_index = 0;
   std::uint64_t primes_used = 0;
   std::uint64_t unlucky = 0;
+  std::uint64_t attempts = 0;
+  RecCounts counts;
   std::vector<EntryCand> cands(entries);
   std::vector<std::uint64_t> fresh_primes;  // folded since the last attempt
   double elim_s = 0, crt_s = 0, rec_s = 0, ver_s = 0;
@@ -573,6 +629,10 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
       s.primes_used = primes_used;
       s.unlucky_primes = unlucky;
       s.early_exit = early && result.has_value();
+      s.attempts = attempts;
+      s.euclid_calls = counts.euclid;
+      s.shared_den_hits = counts.hits;
+      s.shared_den_misses = counts.misses;
       s.elim_seconds = elim_s;
       s.crt_seconds = crt_s;
       s.reconstruct_seconds = rec_s;
@@ -584,47 +644,90 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
 
   // Output-sensitive trial reconstruction.  Revalidates cached candidates
   // against the primes folded since the last attempt (word mods only),
-  // then fills the gaps: first via the shared denominator — by Cramer all
-  // true denominators divide det(M), so x_e * d_shared mod m lifted to the
-  // balanced range usually IS the numerator times a cofactor of d_shared,
-  // one mulmod + gcd instead of an extended-Euclid pass — and only falls
-  // back to the full Euclid reconstruction when that misses.  With
-  // `strict` every cache and shortcut is bypassed (the final full-budget
-  // retry, so a pathological shared-denominator interaction can never
-  // wedge the solver into the Bareiss fallback).
+  // then fills the gaps with reconstruct_entry.  The driver
+  // walks entries in order, growing the shared denominator D (or starting
+  // from det(M), see below), until kSettledHits entries in a row hit
+  // the fast path with the current D; the rest then fan out over entry
+  // blocks, each block extending its own copy of D with whatever its
+  // Euclid fallbacks find.  Fanning out before D settles would send most
+  // entries to Euclid.  A failing entry stops the pass (the driver at
+  // once, workers at their next entry), so a failing checkpoint attempt
+  // costs about one Euclid run.  With `strict` every cache and shortcut
+  // is bypassed (the final full-budget retry, so a pathological
+  // shared-denominator interaction can never wedge the solver into the
+  // Bareiss fallback).
   auto attempt = [&](bool strict) -> std::optional<RatMatrix> {
     obs::Span span{"modular-reconstruct"};
     PhaseTimer timer{rec_s};
+    ++attempts;
     if (strict)
       for (EntryCand& c : cands) c.valid = false;
-    revalidate_candidates(cands, xs, fresh_primes);
+    for (std::size_t e = 0; e < entries; ++e)
+      revalidate_candidate(cands[e], xs[e], fresh_primes);
     fresh_primes.clear();
+    deadline.check();
     const BigInt bound = isqrt((m - BigInt{1}) / BigInt{2});
+    // Seed D with det(M), a multiple of every denominator (Cramer), once
+    // its balanced CRT image is far below m: a wrong image is uniform in
+    // (-m/2, m/2], so one 64 bits short of m is exact but for a 2^-64
+    // chance.  With that seed x_e * D is the Cramer numerator itself
+    // whenever that is below m/2 — always at the full budget.  When the
+    // seed misses (a Cramer numerator still beyond m/2), the first Euclid
+    // result replaces it and D grows from the entries instead.
     BigInt d_shared{1};
-    RatMatrix x{n, k};
-    for (std::size_t e = 0; e < entries; ++e) {
-      deadline.check();
-      EntryCand& c = cands[e];
-      if (!c.valid && !strict && !d_shared.is_one()) {
-        BigInt w = xs[e] * d_shared % m;
-        if (w + w > m) w -= m;  // balanced lift: w in (-m/2, m/2]
-        const BigInt g = BigInt::gcd(w, d_shared);
-        BigInt num = w / g;
-        BigInt den = d_shared / g;
-        if (num.abs() <= bound && den <= bound) {
-          c.value = Rational{std::move(num), std::move(den)};
-          c.valid = true;
-        }
+    bool det_seeded = false;
+    if (!strict) {
+      BigInt det = xs[entries];
+      if (det + det > m) det -= m;
+      if (!det.is_zero() && det.bit_length() + 64 < m.bit_length()) {
+        d_shared = det.abs();
+        det_seeded = true;
       }
-      if (!c.valid) {
-        auto entry = rational_reconstruct(xs[e], m, bound);
-        if (!entry) return std::nullopt;  // fold more primes
-        c.value = std::move(*entry);
-        c.valid = true;
-      }
-      fold_lcm(d_shared, c.value.den());
-      x(e / k, e % k) = c.value;
     }
+    std::size_t e = 0;
+    for (std::size_t run = 0; !strict && e < entries && run < kSettledHits;
+         ++e) {
+      deadline.check();
+      switch (reconstruct_entry(cands[e], xs[e], d_shared, m, bound, counts)) {
+        case EntryRoute::Failed: return std::nullopt;  // fold more primes
+        case EntryRoute::Euclid:
+          run = 0;
+          if (det_seeded) {
+            d_shared = 1;
+            det_seeded = false;
+          }
+          break;
+        case EntryRoute::SharedDen: ++run; break;
+        case EntryRoute::Cached: break;
+      }
+      fold_lcm(d_shared, cands[e].value.den());
+    }
+    std::atomic<bool> failed{false};
+    std::atomic<bool> abandoned{false};
+    const std::size_t first_parallel = e;
+    core::for_each_block(
+        entries - first_parallel, jobs,
+        [&](std::size_t b0, std::size_t b1, const CancelToken& /*token*/) {
+          BigInt d = d_shared;  // 1 when strict
+          for (std::size_t i = first_parallel + b0;
+               i < first_parallel + b1; ++i) {
+            if (failed.load(std::memory_order_relaxed)) break;
+            if (deadline.expired()) {  // jobs must not throw; driver raises
+              abandoned.store(true, std::memory_order_relaxed);
+              break;
+            }
+            if (reconstruct_entry(cands[i], xs[i], d, m, bound, counts) ==
+                EntryRoute::Failed) {
+              failed.store(true, std::memory_order_relaxed);
+              break;
+            }
+            if (!strict) fold_lcm(d, cands[i].value.den());
+          }
+        });
+    if (abandoned.load()) deadline.check();
+    if (failed.load()) return std::nullopt;
+    RatMatrix x{n, k};
+    for (std::size_t i = 0; i < entries; ++i) x(i / k, i % k) = cands[i].value;
     return x;
   };
 
@@ -715,21 +818,6 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     primes_used += fold_primes.size();
     fresh_primes.insert(fresh_primes.end(), fold_primes.begin(),
                         fold_primes.end());
-    if (entries > 0 && primes_used < checkpoint && !cands[0].valid) {
-      // Denominator predictor (ROADMAP): one cheap Euclid pass on the first
-      // entry at the current — still small — modulus seeds the
-      // shared-denominator fast path, so the next full attempt usually
-      // skips its entry-0 reconstruction at a much larger modulus.  A
-      // spurious early candidate is harmless: like every cached candidate
-      // it must survive the per-prime congruence revalidation and the
-      // exact A·X == B verification.
-      PhaseTimer timer{rec_s};
-      const BigInt bound = isqrt((m - BigInt{1}) / BigInt{2});
-      if (auto entry = rational_reconstruct(xs[0], m, bound)) {
-        cands[0].value = std::move(*entry);
-        cands[0].valid = true;
-      }
-    }
     if (primes_used >= checkpoint && m.bit_length() < budget_bits) {
       checkpoint = primes_used * 2;
       if (auto x = attempt(false)) {

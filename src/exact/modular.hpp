@@ -18,9 +18,11 @@
 // bit-identical results).  Reconstruction is output-sensitive: entries
 // whose denominators are small lock in at early checkpoints and are only
 // revalidated with one word-mod per new prime afterwards, and a shared
-// denominator (every denominator divides det(M) by Cramer) turns most
-// per-entry reconstructions into a single mulmod instead of a full
-// extended-Euclid pass.
+// denominator (every denominator divides det(M) by Cramer; det(M) itself
+// rides along the CRT as one extra entry) turns most per-entry
+// reconstructions into a single mulmod + gcd instead of a full
+// extended-Euclid pass.  Once that denominator has settled, the per-entry
+// pass fans out over entry blocks too.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +59,14 @@ struct ModularStats {
   std::uint64_t primes_used = 0;     ///< lucky primes folded into the CRT
   std::uint64_t unlucky_primes = 0;  ///< det == 0 mod p, skipped
   bool early_exit = false;  ///< reconstruction succeeded below the bound
+  // Inside reconstruction (where the exact solve spends most of its time).
+  std::uint64_t attempts = 0;      ///< trial reconstruction passes run
+  std::uint64_t euclid_calls = 0;  ///< per-entry extended-Euclid runs
+  /// Entries the shared-denominator mulmod recovered, and tries of it that
+  /// fell back to Euclid.  Which route serves an entry can vary with jobs;
+  /// the reconstructed value cannot.
+  std::uint64_t shared_den_hits = 0;
+  std::uint64_t shared_den_misses = 0;
   // Per-phase wall-clock split of this solve (driver-attributed seconds;
   // the elimination phase is the parallel fan-out's wall time, not the
   // summed worker time).  The same split feeds the spiv_modular_elim /

@@ -13,6 +13,13 @@ Rational::Rational(BigInt num, BigInt den)
   normalize();
 }
 
+Rational Rational::from_lowest_terms(BigInt num, BigInt den) {
+  Rational r;
+  r.num_ = std::move(num);
+  r.den_ = std::move(den);
+  return r;
+}
+
 void Rational::normalize() {
   if (den_.is_negative()) {
     num_ = num_.negated();

@@ -32,6 +32,11 @@ class Rational {
   Rational(std::int64_t num, std::int64_t den)
       : Rational(BigInt{num}, BigInt{den}) {}
 
+  /// num/den taken as already in lowest terms: the caller has proven
+  /// den > 0 and gcd(|num|, den) == 1 (zero must arrive as 0/1), so no
+  /// gcd is run.  For reconstruction sites that computed that gcd anyway.
+  [[nodiscard]] static Rational from_lowest_terms(BigInt num, BigInt den);
+
   /// Parse "a", "a/b" or decimal "a.b" / "-a.bEk" notation (exact).
   explicit Rational(std::string_view text);
 

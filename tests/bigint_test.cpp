@@ -164,6 +164,96 @@ TEST(BigInt, GcdMatchesEuclidReference) {
   }
 }
 
+/// Reference gcd: plain Euclid on div_mod, no shortcut shared with gcd().
+BigInt euclid_gcd(BigInt a, BigInt b) {
+  a = a.abs();
+  b = b.abs();
+  while (!b.is_zero()) {
+    BigInt r = BigInt::div_mod(a, b).second;
+    a = std::move(b);
+    b = std::move(r);
+  }
+  return a;
+}
+
+/// Uniform random magnitude of exactly `limbs` 32-bit limbs (top limb
+/// nonzero), random sign.
+BigInt random_limbs(std::mt19937_64& rng, std::size_t limbs) {
+  BigInt acc;
+  for (std::size_t i = 0; i < limbs; ++i) {
+    std::uint64_t limb = rng() & 0xffffffffu;
+    if (i == 0 && limb == 0) limb = 1;
+    acc = acc.shifted_left(32) + BigInt{static_cast<std::int64_t>(limb)};
+  }
+  return rng() % 2 ? acc : acc.negated();
+}
+
+TEST(BigInt, GcdPropertyAgainstDivModEuclid) {
+  std::mt19937_64 rng{4242};
+  std::uniform_int_distribution<std::size_t> limbs{1, 400};
+  for (int iter = 0; iter < 300; ++iter) {
+    BigInt a = random_limbs(rng, limbs(rng));
+    BigInt b = random_limbs(rng, limbs(rng));
+    switch (iter % 5) {
+      case 0: {  // shared factor of 2^k (k spans whole limbs, too)
+        const std::size_t k = rng() % 200;
+        a = a.shifted_left(k);
+        b = b.shifted_left(k + rng() % 3);
+        break;
+      }
+      case 1: {  // shared multi-limb odd factor
+        const BigInt c = random_limbs(rng, 1 + rng() % 60);
+        a *= c;
+        b *= c;
+        break;
+      }
+      case 2:  // one-limb operand against a huge one
+        b = random_limbs(rng, 1);
+        break;
+      default:
+        break;
+    }
+    const BigInt g = BigInt::gcd(a, b);
+    EXPECT_EQ(g, euclid_gcd(a, b)) << "iter " << iter;
+    EXPECT_EQ(BigInt::gcd(b, a), g) << "iter " << iter;
+    EXPECT_FALSE(g.is_negative());
+  }
+}
+
+TEST(BigInt, GcdEdgeOperands) {
+  std::mt19937_64 rng{4243};
+  const BigInt huge = random_limbs(rng, 400);
+  // Zero on either side, and gcd(0, 0) == 0.
+  EXPECT_EQ(BigInt::gcd(huge, BigInt{}), huge.abs());
+  EXPECT_EQ(BigInt::gcd(BigInt{}, huge), huge.abs());
+  EXPECT_TRUE(BigInt::gcd(BigInt{}, BigInt{}).is_zero());
+  // Negative operands, and equal operands of either sign.
+  EXPECT_EQ(BigInt::gcd(huge.negated(), huge), huge.abs());
+  EXPECT_EQ(BigInt::gcd(huge, huge), huge.abs());
+  const BigInt odd = random_limbs(rng, 37);
+  EXPECT_EQ(BigInt::gcd(odd.negated(), (odd * huge).negated()), odd.abs());
+  // One limb against 400: 1, a power of two, and a limb sharing a factor.
+  EXPECT_TRUE(BigInt::gcd(huge, BigInt{1}).is_one());
+  EXPECT_EQ(BigInt::gcd(BigInt{1024}, huge.shifted_left(10)), BigInt{1024});
+  EXPECT_EQ(BigInt::gcd(huge * BigInt{3}, BigInt{6}),
+            euclid_gcd(huge * BigInt{3}, BigInt{6}));
+}
+
+TEST(BigInt, GcdOfCoprimeDetSizedPairs) {
+  // The shape modular reconstruction feeds gcd(): ~11k-bit operands (a
+  // size-15 vech determinant) that are coprime, or coprime after dividing
+  // out a known factor.
+  std::mt19937_64 rng{4244};
+  for (int iter = 0; iter < 6; ++iter) {
+    const BigInt a = random_limbs(rng, 350);
+    const BigInt b = a * random_limbs(rng, 2) + BigInt{1};  // gcd(a, b) == 1
+    EXPECT_TRUE(BigInt::gcd(a, b).is_one()) << iter;
+    const BigInt c = random_limbs(rng, 3);
+    EXPECT_EQ(BigInt::gcd(a * c, b * c), c.abs()) << iter;
+    EXPECT_EQ(BigInt::gcd(a, b), euclid_gcd(a, b)) << iter;
+  }
+}
+
 TEST(BigInt, PowAndPow10) {
   EXPECT_EQ(BigInt{2}.pow(10).to_int64(), 1024);
   EXPECT_EQ(BigInt{10}.pow(0).to_int64(), 1);

@@ -3,6 +3,7 @@
 // bit-identical agreement with fraction-free Bareiss.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <random>
 
@@ -270,6 +271,90 @@ TEST(SolveRationalModular, PerEntryReconstructionHandlesMixedDenominators) {
   auto x = solve_rational_modular(a, b, Deadline{}, options);
   ASSERT_TRUE(x.has_value());
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ((*x)(i, 0), expect[i]) << i;
+}
+
+TEST(SolveRationalModular, ParallelPassMatchesSerialOnMixedDenominators) {
+  // A diagonal system scaled by 10^40 (so the solve exits at a checkpoint,
+  // where the shared denominator grows from the entries): entries 0-4
+  // share one denominator, so the driver settles on it and fans out; the
+  // rest mix in denominators it does not divide, so the fast path misses
+  // and Euclid runs inside the workers.  Which route serves an entry
+  // depends on the block split, the value must not.
+  const BigInt p1 = BigInt{"340282366920938463463374607431768211507"};
+  const BigInt p2 = BigInt{"18446744073709551629"}.pow(3);
+  const BigInt p3 = BigInt{"18446744073709551557"} * p1;
+  const std::vector<BigInt> dens = {p1, p2, p1, p3, BigInt{7}, p1};
+  std::vector<Rational> expect;
+  for (std::int64_t i = 0; i < 5; ++i)
+    expect.push_back(Rational{BigInt{2 * i + 1}, p1});
+  for (std::int64_t i = 0; i < 19; ++i)
+    expect.push_back(Rational{BigInt{i % 2 ? -(3 * i + 2) : 3 * i + 2},
+                              dens[static_cast<std::size_t>(i) % dens.size()]});
+  const std::size_t n = expect.size();
+  const Rational scale{BigInt::pow10(40), BigInt{1}};
+  RatMatrix a{n, n};
+  RatMatrix b{n, 1};
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = Rational{expect[i].den(), expect[i].num()} * scale;
+    b(i, 0) = scale;
+  }
+  std::vector<RatMatrix> results;
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    ModularStats stats;
+    ModularOptions options;
+    options.jobs = jobs;
+    options.stats = &stats;
+    auto x = solve_rational_modular(a, b, Deadline{}, options);
+    ASSERT_TRUE(x.has_value()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ((*x)(i, 0), expect[i]) << "jobs=" << jobs << " entry " << i;
+    EXPECT_TRUE(stats.early_exit) << "jobs=" << jobs;
+    EXPECT_GE(stats.attempts, 1u);
+    EXPECT_GT(stats.shared_den_hits, 0u) << "jobs=" << jobs;
+    EXPECT_GT(stats.shared_den_misses, 0u) << "jobs=" << jobs;
+    EXPECT_GE(stats.euclid_calls, stats.shared_den_misses);
+    results.push_back(std::move(*x));
+  }
+  EXPECT_EQ(results[0], results[1]);
+}
+
+TEST(SolveRationalModular, DeadlineExpiringMidPassRaisesOnTheDriver) {
+  // Deadlines aimed at the tail of a solve, where the final reconstruction
+  // pass runs on the workers.  A worker that threw would terminate the
+  // process; a correct one stops at its next entry and the driver raises
+  // TimeoutError.  Timing decides which phase each deadline lands in, but
+  // not the property: every outcome is a TimeoutError or the exact
+  // solution.
+  std::mt19937_64 rng{7130};
+  RatMatrix op = lyapunov_operator_vech(random_stable(rng, 15));
+  const std::vector<Rational> v = vech(RatMatrix::identity(15) * Rational{-1});
+  RatMatrix rhs{op.rows(), 1};
+  for (std::size_t i = 0; i < v.size(); ++i) rhs(i, 0) = v[i];
+  ModularStats stats;
+  ModularOptions options;
+  options.jobs = 4;
+  options.stats = &stats;
+  (void)solve_rational_modular(op, rhs, Deadline{}, options);  // warm-up
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto reference = solve_rational_modular(op, rhs, Deadline{}, options);
+  const double total =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_TRUE(reference.has_value());
+  // The reconstruction passes end just before the verify phase.
+  const double pass_end = total - stats.verify_seconds;
+  const double pass_seconds = stats.reconstruct_seconds;
+  for (int step = 1; step <= 8; ++step) {
+    const double budget = pass_end - pass_seconds * (1.0 - step / 8.0);
+    try {
+      auto x = solve_rational_modular(op, rhs, Deadline::after_seconds(budget),
+                                      options);
+      ASSERT_TRUE(x.has_value()) << budget;
+      EXPECT_EQ(*x, *reference) << budget;
+    } catch (const TimeoutError&) {
+      // Raised on this (the driver) thread: the property under test.
+    }
+  }
 }
 
 TEST(SolveRationalModular, SkipsSeededUnluckyPrimeAtSize15) {

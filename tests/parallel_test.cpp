@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -156,6 +158,34 @@ TEST(JobPool, WaitIdleCanBeReusedAfterMoreSubmissions) {
   EXPECT_EQ(done.load(), 11);
 }
 
+TEST(JobPool, SequentialJobsReuseTheMostRecentlyIdleWorker) {
+  // A lone sequential caller (one request at a time, as a single client
+  // drives spiv-serve) must keep landing on one warm worker instead of
+  // cycling through all of them: each worker thread holds its own malloc
+  // arena, so round-robin hand-off grew peak RSS with every solve.
+  constexpr std::size_t kThreads = 4;
+  JobPool pool{kThreads};
+  // Warm-up: kThreads jobs that rendezvous, so every worker has started,
+  // run a job and parked before the sequential phase begins.
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      if (++arrived == kThreads) cv.notify_all();
+      cv.wait(lock, [&] { return arrived == kThreads; });
+    });
+  pool.wait_idle();
+  std::vector<std::thread::id> ran(8);
+  for (std::thread::id& id : ran) {
+    pool.submit([&id] { id = std::this_thread::get_id(); });
+    pool.wait_idle();
+  }
+  for (const std::thread::id& id : ran) EXPECT_EQ(id, ran.front());
+  EXPECT_NE(ran.front(), std::this_thread::get_id());
+}
+
 TEST(ForEachJob, CoversEveryIndexOnceSerialAndParallel) {
   for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     std::vector<int> hits(100, 0);
@@ -244,9 +274,11 @@ TEST(ParallelDeterminism, Table1IdenticalAcrossJobCounts) {
 // ----------------------------------------------------------- cancellation
 
 // A dense well-conditioned rational matrix whose exact Lyapunov solve is
-// deliberately slow (n=14 runs for tens of seconds unrestricted; the
-// coefficient growth of exact elimination is the paper's point about
-// eq-smt at sizes 15/18).
+// deliberately slow (n=18 runs for seconds unrestricted on a 4-core x86-64
+// VM, against the 0.2-0.5 s these tests wait; the coefficient growth of
+// exact elimination is the paper's point about eq-smt at sizes 15/18).
+constexpr std::size_t kSlowSize = 18;
+
 exact::RatMatrix slow_stable_matrix(std::size_t n) {
   exact::RatMatrix a{n, n};
   for (std::size_t i = 0; i < n; ++i)
@@ -259,8 +291,8 @@ exact::RatMatrix slow_stable_matrix(std::size_t n) {
 }
 
 TEST(Cancellation, SlowExactSolveTimesOutWithinTwiceDeadline) {
-  const exact::RatMatrix a = slow_stable_matrix(14);
-  const exact::RatMatrix q = exact::RatMatrix::identity(14);
+  const exact::RatMatrix a = slow_stable_matrix(kSlowSize);
+  const exact::RatMatrix q = exact::RatMatrix::identity(kSlowSize);
   const double budget = 0.5;
   const auto t0 = Clock::now();
   EXPECT_THROW(
@@ -277,8 +309,8 @@ TEST(Cancellation, SlowExactSolveTimesOutWithinTwiceDeadline) {
 }
 
 TEST(Cancellation, TokenCancelledFromAnotherThreadStopsSolve) {
-  const exact::RatMatrix a = slow_stable_matrix(14);
-  const exact::RatMatrix q = exact::RatMatrix::identity(14);
+  const exact::RatMatrix a = slow_stable_matrix(kSlowSize);
+  const exact::RatMatrix q = exact::RatMatrix::identity(kSlowSize);
   CancelToken token;
   // No wall-clock budget at all: only the token can stop this solve.
   const Deadline deadline = Deadline{}.with_token(token);
@@ -304,8 +336,8 @@ TEST(Cancellation, PoolCancelAllPreemptsQueuedDeadlines) {
   std::atomic<int> timeouts{0};
   for (int i = 0; i < 2; ++i)
     pool.submit([&pool, &timeouts] {
-      const exact::RatMatrix a = slow_stable_matrix(14);
-      const exact::RatMatrix q = exact::RatMatrix::identity(14);
+      const exact::RatMatrix a = slow_stable_matrix(kSlowSize);
+      const exact::RatMatrix q = exact::RatMatrix::identity(kSlowSize);
       try {
         auto p = exact::solve_lyapunov_exact(
             a, q, Deadline::after_seconds(60.0, pool.token()));
