@@ -1,13 +1,10 @@
-// Ablation: what the design choices inside the exact layer buy.
+// Ablation: fraction-free Bareiss vs the multi-modular CRT solver on the
+// vech Lyapunov system of every benchmark size — the speedup that lets the
+// eq-smt method (which always runs the modular solver) finish at sizes
+// 10-18, where the paper's Bareiss-style elimination times out.  Both
+// solutions are compared bit for bit ("same" column).
 //
-//   (a) vech (symmetric) vs full-Kronecker parameterization of the exact
-//       Lyapunov solve — the paper's eq-smt method hinges on the smaller
-//       system (n(n+1)/2 vs n^2 unknowns);
-//   (b) fraction-free Bareiss vs the multi-modular CRT solver on the vech
-//       system — where the SPIV_EXACT_SOLVER=modular|auto speedup comes
-//       from, including the first size-10 eq-smt row that finishes at all.
-//
-// Section (b) is also written to BENCH_exact_solvers.json (with machine
+// The rows are also written to BENCH_exact_solvers.json (with machine
 // metadata) so the bareiss/modular ratio can be tracked across commits.
 #include <chrono>
 #include <cstdio>
@@ -52,54 +49,7 @@ int main(int argc, char** argv) {
     return false;
   };
 
-  std::printf("ABLATION — exact Lyapunov solve: vech vs full Kronecker, "
-              "exact-double vs integer inputs (budget %.0fs per cell)\n",
-              budget);
-  std::printf("%-8s %8s %14s %14s %14s\n", "model", "dim", "vech (s)",
-              "kron (s)", "kron/vech");
-
-  for (const auto& bm : model::make_benchmark_family()) {
-    if (bm.size > 5 || !wanted(bm.size)) continue;  // kron explodes fast
-    auto mode =
-        model::close_loop_single_mode(bm.plant, model::engine_gains_mode0());
-    const std::size_t d = mode.a.rows();
-    exact::RatMatrix a_exact = exact::rat_matrix_from_doubles(
-        mode.a.data().data(), d, d, /*digits=*/0);
-    exact::RatMatrix q = exact::RatMatrix::identity(d);
-
-    double t_vech = -1.0, t_kron = -1.0;
-    {
-      auto t0 = Clock::now();
-      try {
-        auto p = exact::solve_lyapunov_exact(a_exact, q,
-                                             Deadline::after_seconds(budget));
-        if (p) t_vech = seconds_since(t0);
-      } catch (const TimeoutError&) {
-      }
-    }
-    {
-      auto t0 = Clock::now();
-      try {
-        auto p = exact::solve_lyapunov_exact_full_kronecker(
-            a_exact, q, Deadline::after_seconds(budget));
-        if (p) t_kron = seconds_since(t0);
-      } catch (const TimeoutError&) {
-      }
-    }
-    char ratio[32] = "-";
-    if (t_vech > 0 && t_kron > 0)
-      std::snprintf(ratio, sizeof ratio, "%.1fx", t_kron / t_vech);
-    char b1[32], b2[32];
-    std::printf("%-8s %8zu %14s %14s %14s\n", bm.name.c_str(), d,
-                cell(t_vech, b1), cell(t_kron, b2), ratio);
-  }
-  std::printf("\n(integer-rounded variants — the 'i' rows — are cheaper "
-              "because the closed-loop matrices have small integer entries,\n"
-              " which is exactly why the paper includes them as 'simpler "
-              "numerical inputs')\n");
-
-  // ---- (b) Bareiss vs multi-modular on the vech system -------------------
-  std::printf("\nABLATION — exact linear solve backend on the vech system "
+  std::printf("ABLATION — exact linear solve backend on the vech system "
               "(budget %.0fs per cell)\n", budget);
   std::printf("%-8s %6s %6s %14s %14s %10s %8s %8s  %-24s %s\n", "model",
               "dim", "vech-N", "bareiss (s)", "modular (s)", "speedup",

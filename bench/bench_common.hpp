@@ -22,6 +22,9 @@
 
 #include <cstring>
 #include <iostream>
+#include <mutex>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -69,16 +72,37 @@ inline bool env_flag(const char* name) {
   return v && *v && std::string{v} != "0";
 }
 
-inline std::vector<std::size_t> env_sizes(
-    const std::vector<std::size_t>& fallback) {
-  const char* v = core::env::raw("SPIV_SIZES");
+/// $name as a comma-separated list of positive integers (empty tokens are
+/// skipped).  Unset or empty reads as `fallback`; a malformed token warns
+/// once per variable on stderr and the whole list reads as `fallback`.
+inline std::vector<std::size_t> env_size_list(
+    const char* name, const std::vector<std::size_t>& fallback) {
+  const char* v = core::env::raw(name);
   if (!v) return fallback;
   std::vector<std::size_t> out;
   std::stringstream ss{v};
   std::string tok;
-  while (std::getline(ss, tok, ','))
-    if (!tok.empty()) out.push_back(std::stoul(tok));
+  while (std::getline(ss, tok, ',')) {
+    if (tok.empty()) continue;
+    const std::optional<std::size_t> parsed =
+        core::env::parse_positive(tok.c_str());
+    if (!parsed) {
+      static std::mutex mutex;
+      static std::set<std::string> warned;
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (warned.insert(name).second)
+        std::cerr << "bench: ignoring invalid " << name << "='" << v
+                  << "' (expected comma-separated positive integers)\n";
+      return fallback;
+    }
+    out.push_back(*parsed);
+  }
   return out.empty() ? fallback : out;
+}
+
+inline std::vector<std::size_t> env_sizes(
+    const std::vector<std::size_t>& fallback) {
+  return env_size_list("SPIV_SIZES", fallback);
 }
 
 /// Parse `--metrics-out FILE` from a harness command line; empty when the

@@ -67,20 +67,6 @@ double percentile(std::vector<double> sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-std::vector<std::size_t> env_connection_counts(bool quick) {
-  std::vector<std::size_t> fallback =
-      quick ? std::vector<std::size_t>{1, 4}
-            : std::vector<std::size_t>{1, 2, 4, 8, 16, 32};
-  const char* v = spiv::core::env::raw("SPIV_NET_CONNECTIONS");
-  if (!v) return fallback;
-  std::vector<std::size_t> out;
-  std::stringstream ss{v};
-  std::string tok;
-  while (std::getline(ss, tok, ','))
-    if (!tok.empty()) out.push_back(std::stoul(tok));
-  return out.empty() ? fallback : out;
-}
-
 /// One synchronous worker: `requests` round trips, latencies in seconds.
 void run_client(const std::string& socket_path, const std::string& line,
                 std::size_t requests, std::vector<double>& latencies,
@@ -199,7 +185,10 @@ struct ScopedServer {
 int main(int argc, char** argv) {
   const std::string metrics_path = spiv::bench::metrics_out_path(argc, argv);
   const bool quick = spiv::bench::env_flag("SPIV_QUICK");
-  const std::vector<std::size_t> counts = env_connection_counts(quick);
+  const std::vector<std::size_t> counts = spiv::bench::env_size_list(
+      "SPIV_NET_CONNECTIONS", quick ? std::vector<std::size_t>{1, 4}
+                                    : std::vector<std::size_t>{1, 2, 4, 8, 16,
+                                                               32});
   const std::size_t requests = static_cast<std::size_t>(spiv::bench::env_double(
       "SPIV_NET_REQUESTS", quick ? 6.0 : 16.0));
   const std::size_t jobs = spiv::core::env::jobs().value_or(

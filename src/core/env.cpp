@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 namespace spiv::core::env {
@@ -11,8 +10,6 @@ namespace spiv::core::env {
 namespace {
 
 std::atomic<bool> g_warned_jobs{false};
-std::atomic<bool> g_warned_exact_solver{false};
-std::atomic<bool> g_warned_modular_checkpoint{false};
 std::atomic<bool> g_warned_negative_ttl{false};
 
 /// One stderr line per process per variable: the harnesses resolve their
@@ -58,29 +55,6 @@ std::string cache_dir() { return string_or_empty("SPIV_CACHE_DIR"); }
 
 std::string trace_path() { return string_or_empty("SPIV_TRACE"); }
 
-ExactSolver exact_solver() {
-  const char* v = raw("SPIV_EXACT_SOLVER");
-  if (!v || !*v) return ExactSolver::Auto;
-  if (!std::strcmp(v, "bareiss")) return ExactSolver::Bareiss;
-  if (!std::strcmp(v, "modular")) return ExactSolver::Modular;
-  if (!std::strcmp(v, "auto")) return ExactSolver::Auto;
-  warn_once(g_warned_exact_solver,
-            "ignoring invalid SPIV_EXACT_SOLVER='" + std::string{v} +
-                "' (expected bareiss|modular|auto); using auto");
-  return ExactSolver::Auto;
-}
-
-std::optional<std::size_t> modular_checkpoint() {
-  const char* v = raw("SPIV_MODULAR_CHECKPOINT");
-  if (!v || !*v) return std::nullopt;
-  if (const std::optional<std::size_t> parsed = parse_positive(v))
-    return parsed;
-  warn_once(g_warned_modular_checkpoint,
-            "ignoring invalid SPIV_MODULAR_CHECKPOINT='" + std::string{v} +
-                "' (must be a positive integer)");
-  return std::nullopt;
-}
-
 std::optional<double> negative_ttl() {
   const char* v = raw("SPIV_NEG_TTL");
   if (!v || !*v) return std::nullopt;
@@ -103,8 +77,6 @@ std::optional<double> negative_ttl() {
 
 void rearm_warnings_for_testing() {
   g_warned_jobs.store(false);
-  g_warned_exact_solver.store(false);
-  g_warned_modular_checkpoint.store(false);
   g_warned_negative_ttl.store(false);
 }
 

@@ -43,20 +43,6 @@ namespace spiv::core::env {
 /// $SPIV_TRACE — JSONL span-trace path (obs::Span); empty = tracing off.
 [[nodiscard]] std::string trace_path();
 
-/// Exact linear-algebra backend selection (mirrors
-/// exact::ExactSolverStrategy, which is defined above this layer).
-enum class ExactSolver { Auto, Bareiss, Modular };
-
-/// $SPIV_EXACT_SOLVER — "bareiss" | "modular" | "auto".  Unset/empty reads
-/// as Auto; anything else warns once per process and reads as Auto.
-[[nodiscard]] ExactSolver exact_solver();
-
-/// $SPIV_MODULAR_CHECKPOINT — first trial-reconstruction checkpoint of the
-/// multi-modular solver, in lucky primes folded (the schedule doubles from
-/// there).  Returns nullopt when unset; a malformed value warns once per
-/// process and reads as nullopt.  Purely a performance knob.
-[[nodiscard]] std::optional<std::size_t> modular_checkpoint();
-
 /// $SPIV_NEG_TTL — TTL in seconds for negative caching of synth-failed and
 /// timeout outcomes in the certificate store (verify pipeline).  Returns
 /// nullopt when unset or malformed (malformed warns once per process);

@@ -27,7 +27,8 @@ struct IntSystem {
   std::vector<std::vector<BigInt>> rhs;
   std::vector<BigInt> row_scales;
   /// Bits of a row-Hadamard bound on |det(M)| (+1 slack): the CRT budget
-  /// for determinant_modular.
+  /// for determinant_modular, and the bar solve_rational_modular's unlucky
+  /// primes must clear to prove det(M) == 0.
   std::size_t det_bound_bits = 0;
   /// Bits the CRT modulus must reach so balanced rational reconstruction
   /// of the solution of M x = R is guaranteed: by Cramer every numerator

@@ -11,12 +11,6 @@ namespace spiv::exact {
 
 namespace {
 
-obs::Counter& fallback_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("spiv_modular_fallback_total");
-  return c;
-}
-
 obs::Histogram& residual_check_seconds() {
   static obs::Histogram& h = obs::Registry::global().histogram(
       "spiv_modular_residual_check_seconds");
@@ -82,33 +76,6 @@ bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
       if (!(acc * dq + qi[i * n + j] * qscale).is_zero()) return false;
     }
   return true;
-}
-
-/// Multi-modular solve of op X = B (any number of RHS columns — the
-/// per-prime elimination is shared across all of them).  nullopt means
-/// "use Bareiss": the strategy didn't select modular, the system looks
-/// singular, or reconstruction failed.  Only genuine failures count as
-/// fallbacks.
-std::optional<RatMatrix> try_modular_solve(
-    const RatMatrix& op, const RatMatrix& b, const Deadline& deadline,
-    std::optional<ExactSolverStrategy> strategy) {
-  if (!modular_preferred(op.rows(), strategy.value_or(exact_solver_strategy())))
-    return std::nullopt;
-  auto x = solve_rational_modular(op, b, deadline);
-  if (!x) fallback_counter().add();
-  return x;
-}
-
-std::optional<std::vector<Rational>> try_modular_solve(
-    const RatMatrix& op, const std::vector<Rational>& rhs,
-    const Deadline& deadline, std::optional<ExactSolverStrategy> strategy) {
-  RatMatrix b{op.rows(), 1};
-  for (std::size_t i = 0; i < rhs.size(); ++i) b(i, 0) = rhs[i];
-  auto x = try_modular_solve(op, b, deadline, strategy);
-  if (!x) return std::nullopt;
-  std::vector<Rational> out(op.rows());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::move((*x)(i, 0));
-  return out;
 }
 
 }  // namespace
@@ -181,7 +148,7 @@ RatMatrix lyapunov_operator_vech(const RatMatrix& a, const Deadline& deadline) {
 
 std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
     const RatMatrix& a, const std::vector<RatMatrix>& qs,
-    const Deadline& deadline, std::optional<ExactSolverStrategy> strategy) {
+    const Deadline& deadline) {
   if (!a.is_square())
     throw std::invalid_argument("solve_lyapunov_exact: A must be square");
   for (const RatMatrix& q : qs) {
@@ -200,86 +167,33 @@ std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
     const std::vector<Rational> col = vech(-qs[c]);
     for (std::size_t i = 0; i < col.size(); ++i) b(i, c) = col[i];
   }
-  std::vector<std::size_t> remaining;  // columns the modular path missed
-  if (auto xm = try_modular_solve(op, b, deadline, strategy)) {
-    for (std::size_t c = 0; c < k; ++c) {
-      std::vector<Rational> col(op.rows());
-      for (std::size_t i = 0; i < col.size(); ++i) col[i] = (*xm)(i, c);
-      RatMatrix p = unvech(col, n);
-      // The modular path already verified op·X == B; this recheck is the
-      // belt-and-braces guarantee that what we hand out satisfies the
-      // *Lyapunov equation*, independent of how op was assembled.
-      if (lyapunov_residual_is_zero(a, p, qs[c], deadline)) {
-        out[c] = std::move(p);
-      } else {
-        fallback_counter().add();
-        remaining.push_back(c);
-      }
-    }
-  } else {
-    for (std::size_t c = 0; c < k; ++c) remaining.push_back(c);
-  }
-  if (remaining.empty()) return out;
-  // Deadline-aware fraction-free solve for whatever the modular path did
-  // not deliver — one Bareiss elimination shared across the leftover RHS
-  // columns (RatMatrix::solve polls the deadline and any attached
-  // CancelToken at row granularity).
-  RatMatrix b_rest{op.rows(), remaining.size()};
-  for (std::size_t c = 0; c < remaining.size(); ++c)
-    for (std::size_t i = 0; i < op.rows(); ++i)
-      b_rest(i, c) = b(i, remaining[c]);
-  auto x = op.solve(b_rest, deadline);
-  if (!x) return out;  // singular operator: the missing columns stay empty
-  for (std::size_t c = 0; c < remaining.size(); ++c) {
+  auto x = solve_rational_modular(op, b, deadline);
+  if (!x) return out;  // proven singular operator: every column stays empty
+  for (std::size_t c = 0; c < k; ++c) {
     std::vector<Rational> col(op.rows());
-    for (std::size_t i = 0; i < col.size(); ++i) col[i] = (*x)(i, c);
-    out[remaining[c]] = unvech(col, n);
+    for (std::size_t i = 0; i < col.size(); ++i) col[i] = std::move((*x)(i, c));
+    RatMatrix p = unvech(col, n);
+    // The modular path already proved op·X == B; this recheck guarantees
+    // that what we hand out satisfies the *Lyapunov equation*, independent
+    // of how op was assembled.  A nonzero residual is an assembly bug.
+    if (!lyapunov_residual_is_zero(a, p, qs[c], deadline))
+      throw std::logic_error(
+          "solve_lyapunov_exact: nonzero Lyapunov residual");
+    out[c] = std::move(p);
   }
   return out;
 }
 
-std::optional<RatMatrix> solve_lyapunov_exact(
-    const RatMatrix& a, const RatMatrix& q, const Deadline& deadline,
-    std::optional<ExactSolverStrategy> strategy) {
-  auto ps = solve_lyapunov_exact_multi(a, {q}, deadline, strategy);
+std::optional<RatMatrix> solve_lyapunov_exact(const RatMatrix& a,
+                                              const RatMatrix& q,
+                                              const Deadline& deadline) {
+  auto ps = solve_lyapunov_exact_multi(a, {q}, deadline);
   return std::move(ps.front());
 }
 
 RatMatrix lyapunov_residual(const RatMatrix& a, const RatMatrix& p,
                             const RatMatrix& q) {
   return a.transposed() * p + p * a + q;
-}
-
-std::optional<RatMatrix> solve_lyapunov_exact_full_kronecker(
-    const RatMatrix& a, const RatMatrix& q, const Deadline& deadline,
-    std::optional<ExactSolverStrategy> strategy) {
-  if (!a.is_square() || !q.is_square() || a.rows() != q.rows())
-    throw std::invalid_argument("solve_lyapunov_exact_full_kronecker: shape");
-  const std::size_t n = a.rows();
-  const RatMatrix at = a.transposed();
-  // vec(A^T P) = (I (x) A^T) vec(P); vec(P A) = (A^T (x) I) vec(P),
-  // with vec() stacking columns.
-  RatMatrix op = kronecker(RatMatrix::identity(n), at) +
-                 kronecker(at, RatMatrix::identity(n));
-  std::vector<Rational> rhs(n * n);
-  for (std::size_t col = 0; col < n; ++col)
-    for (std::size_t row = 0; row < n; ++row)
-      rhs[col * n + row] = -q(row, col);
-  const auto unstack = [n](const std::vector<Rational>& v) {
-    RatMatrix p{n, n};
-    for (std::size_t col = 0; col < n; ++col)
-      for (std::size_t row = 0; row < n; ++row)
-        p(row, col) = v[col * n + row];
-    return p;
-  };
-  if (auto xm = try_modular_solve(op, rhs, deadline, strategy)) {
-    RatMatrix p = unstack(*xm).symmetrized();
-    if (lyapunov_residual_is_zero(a, p, q, deadline)) return p;
-    fallback_counter().add();
-  }
-  auto x = op.solve(rhs, deadline);
-  if (!x) return std::nullopt;
-  return unstack(*x).symmetrized();
 }
 
 }  // namespace spiv::exact

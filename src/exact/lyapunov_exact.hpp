@@ -3,16 +3,14 @@
 //
 // This is the paper's `eq-smt` synthesis method: the equation is turned into
 // a linear system over the n(n+1)/2 distinct entries of the symmetric P
-// (the "vech" parameterization) and solved with exact rational Gaussian
-// elimination.  Coefficient growth makes this intrinsically expensive; at
-// the paper's sizes 15/18 it exceeds any practical budget, which we surface
-// via the cooperative Deadline.
+// (the "vech" parameterization) and solved exactly by the multi-modular
+// solver.  The paper's Bareiss-style elimination times out at sizes 15/18;
+// budgets are still enforced through the cooperative Deadline.
 #pragma once
 
 #include <optional>
 
 #include "exact/matrix.hpp"
-#include "exact/modular.hpp"
 #include "exact/timeout.hpp"
 
 namespace spiv::exact {
@@ -33,38 +31,26 @@ namespace spiv::exact {
 [[nodiscard]] RatMatrix lyapunov_operator_vech(const RatMatrix& a,
                                                const Deadline& deadline = {});
 
-/// Solve A^T P + P A + Q = 0 exactly for symmetric P.
-/// Q must be symmetric.  Returns nullopt when the Lyapunov operator is
-/// singular (i.e. A and -A share an eigenvalue).  Throws TimeoutError when
-/// the deadline expires mid-solve.  `strategy` overrides the process-wide
-/// $SPIV_EXACT_SOLVER selection (verify::VerifyContext threads it through).
+/// Solve A^T P + P A + Q = 0 exactly for symmetric P by the multi-modular
+/// solver (exact/modular.hpp).  Q must be symmetric.  Returns nullopt when
+/// the Lyapunov operator is proven singular (i.e. A and -A share an
+/// eigenvalue).  A returned P has an exactly zero residual.  Throws
+/// TimeoutError when the deadline expires mid-solve.
 [[nodiscard]] std::optional<RatMatrix> solve_lyapunov_exact(
-    const RatMatrix& a, const RatMatrix& q, const Deadline& deadline = {},
-    std::optional<ExactSolverStrategy> strategy = {});
+    const RatMatrix& a, const RatMatrix& q, const Deadline& deadline = {});
 
 /// Batched variant: solve A^T P_c + P_c A + Q_c = 0 for every Q in `qs`
 /// against the SAME A.  The Lyapunov operator is assembled once and all
-/// right-hand sides share one elimination per prime (modular path) or one
-/// Bareiss forward pass (fallback), so k solves cost barely more than one.
-/// out[c] is empty iff the operator is singular or that column failed the
-/// residual check and the fallback.  Throws TimeoutError on deadline.
+/// right-hand sides share one elimination per prime, so k solves cost
+/// barely more than one.  Every out[c] is empty iff the operator is
+/// singular.  Throws TimeoutError on deadline.
 [[nodiscard]] std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
     const RatMatrix& a, const std::vector<RatMatrix>& qs,
-    const Deadline& deadline = {},
-    std::optional<ExactSolverStrategy> strategy = {});
+    const Deadline& deadline = {});
 
 /// Residual A^T P + P A + Q (all-zero iff P solves the equation).
 [[nodiscard]] RatMatrix lyapunov_residual(const RatMatrix& a,
                                           const RatMatrix& p,
                                           const RatMatrix& q);
-
-/// Ablation variant of solve_lyapunov_exact: ignores symmetry and solves
-/// the full n^2-unknown Kronecker system (I (x) A^T + A^T (x) I) vec(P) =
-/// -vec(Q).  Roughly 8x the elimination work of the vech formulation —
-/// kept to quantify what the symmetric parameterization buys
-/// (see bench/ablation_exact_solvers).
-[[nodiscard]] std::optional<RatMatrix> solve_lyapunov_exact_full_kronecker(
-    const RatMatrix& a, const RatMatrix& q, const Deadline& deadline = {},
-    std::optional<ExactSolverStrategy> strategy = {});
 
 }  // namespace spiv::exact

@@ -134,7 +134,4 @@ struct RatLdlt {
                                                 std::size_t rows,
                                                 std::size_t cols, int digits);
 
-/// Kronecker product A (x) B.
-[[nodiscard]] RatMatrix kronecker(const RatMatrix& a, const RatMatrix& b);
-
 }  // namespace spiv::exact

@@ -3,13 +3,10 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cstring>
-#include <iostream>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
 
-#include "core/env.hpp"
 #include "core/parallel.hpp"
 #include "exact/int_system.hpp"
 #include "obs/metrics.hpp"
@@ -61,8 +58,6 @@ struct Metrics {
       obs::Registry::global().counter("spiv_modular_early_exit_total");
   obs::Counter& solves =
       obs::Registry::global().counter("spiv_modular_solves_total");
-  obs::Counter& fallbacks =
-      obs::Registry::global().counter("spiv_modular_fallback_total");
 };
 
 Metrics& metrics() {
@@ -437,28 +432,6 @@ std::uint64_t modular_prime(std::size_t index) {
   return primes[index];
 }
 
-// --------------------------------------------------------------- strategy
-
-ExactSolverStrategy exact_solver_strategy() {
-  // Parsing and the warn-once diagnostic live in core::env, next to every
-  // other SPIV_* variable; this is just the enum translation.
-  switch (core::env::exact_solver()) {
-    case core::env::ExactSolver::Bareiss: return ExactSolverStrategy::Bareiss;
-    case core::env::ExactSolver::Modular: return ExactSolverStrategy::Modular;
-    case core::env::ExactSolver::Auto: break;
-  }
-  return ExactSolverStrategy::Auto;
-}
-
-bool modular_preferred(std::size_t dim, ExactSolverStrategy strategy) {
-  switch (strategy) {
-    case ExactSolverStrategy::Bareiss: return false;
-    case ExactSolverStrategy::Modular: return dim > 0;
-    case ExactSolverStrategy::Auto: return dim >= 6;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------- reconstruction
 
 std::optional<Rational> rational_reconstruct(const BigInt& u, const BigInt& m,
@@ -581,6 +554,10 @@ EntryRoute reconstruct_entry(EntryCand& c, const BigInt& xe, const BigInt& d,
 /// running lcm as settled and fans the remaining entries out.
 constexpr std::size_t kSettledHits = 4;
 
+/// Lucky primes folded before the first trial reconstruction; the schedule
+/// doubles from there.
+constexpr std::size_t kFirstCheckpoint = 4;
+
 }  // namespace
 
 std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
@@ -598,10 +575,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
   const std::size_t budget_bits = sys.solve_budget_bits;
   const std::size_t jobs = core::resolve_jobs(options.jobs);
   const std::size_t batch = std::max<std::size_t>(jobs, 8);
-  std::size_t checkpoint =
-      options.checkpoint != 0
-          ? options.checkpoint
-          : core::env::modular_checkpoint().value_or(4);
+  std::size_t checkpoint = kFirstCheckpoint;
 
   const std::size_t entries = n * k;
   // CRT images of the solution entries, then of det(M).
@@ -610,6 +584,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
   std::size_t prime_index = 0;
   std::uint64_t primes_used = 0;
   std::uint64_t unlucky = 0;
+  std::size_t unlucky_bits = 0;  // log2 lower bound of their product
   std::uint64_t attempts = 0;
   RecCounts counts;
   std::vector<EntryCand> cands(entries);
@@ -652,16 +627,11 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
   // Euclid fallbacks find.  Fanning out before D settles would send most
   // entries to Euclid.  A failing entry stops the pass (the driver at
   // once, workers at their next entry), so a failing checkpoint attempt
-  // costs about one Euclid run.  With `strict` every cache and shortcut
-  // is bypassed (the final full-budget retry, so a pathological
-  // shared-denominator interaction can never wedge the solver into the
-  // Bareiss fallback).
-  auto attempt = [&](bool strict) -> std::optional<RatMatrix> {
+  // costs about one Euclid run.
+  auto attempt = [&]() -> std::optional<RatMatrix> {
     obs::Span span{"modular-reconstruct"};
     PhaseTimer timer{rec_s};
     ++attempts;
-    if (strict)
-      for (EntryCand& c : cands) c.valid = false;
     for (std::size_t e = 0; e < entries; ++e)
       revalidate_candidate(cands[e], xs[e], fresh_primes);
     fresh_primes.clear();
@@ -676,17 +646,14 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     // result replaces it and D grows from the entries instead.
     BigInt d_shared{1};
     bool det_seeded = false;
-    if (!strict) {
-      BigInt det = xs[entries];
-      if (det + det > m) det -= m;
-      if (!det.is_zero() && det.bit_length() + 64 < m.bit_length()) {
-        d_shared = det.abs();
-        det_seeded = true;
-      }
+    BigInt det = xs[entries];
+    if (det + det > m) det -= m;
+    if (!det.is_zero() && det.bit_length() + 64 < m.bit_length()) {
+      d_shared = det.abs();
+      det_seeded = true;
     }
     std::size_t e = 0;
-    for (std::size_t run = 0; !strict && e < entries && run < kSettledHits;
-         ++e) {
+    for (std::size_t run = 0; e < entries && run < kSettledHits; ++e) {
       deadline.check();
       switch (reconstruct_entry(cands[e], xs[e], d_shared, m, bound, counts)) {
         case EntryRoute::Failed: return std::nullopt;  // fold more primes
@@ -708,7 +675,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     core::for_each_block(
         entries - first_parallel, jobs,
         [&](std::size_t b0, std::size_t b1, const CancelToken& /*token*/) {
-          BigInt d = d_shared;  // 1 when strict
+          BigInt d = d_shared;
           for (std::size_t i = first_parallel + b0;
                i < first_parallel + b1; ++i) {
             if (failed.load(std::memory_order_relaxed)) break;
@@ -721,7 +688,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
               failed.store(true, std::memory_order_relaxed);
               break;
             }
-            if (!strict) fold_lcm(d, cands[i].value.den());
+            fold_lcm(d, cands[i].value.den());
           }
         });
     if (abandoned.load()) deadline.check();
@@ -777,10 +744,11 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
 
   while (m.bit_length() < budget_bits) {
     deadline.check();
-    // A nonsingular system sheds at most a handful of primes (each unlucky
-    // prime divides det); a singular one sheds every prime.  Give up and
-    // let the Bareiss fallback decide.
-    if (unlucky > primes_used + 16) return finish(false, std::nullopt);
+    // Every unlucky prime divides det(M), and so does their product.  Once
+    // that product exceeds the Hadamard bound on |det(M)|, det(M) == 0:
+    // the system is proven singular.  A nonsingular system never clears
+    // this bar: its unlucky primes multiply to a divisor of det(M) != 0.
+    if (unlucky_bits >= sys.det_bound_bits) return finish(false, std::nullopt);
     std::vector<PrimeSolve> results(batch);
     for (std::size_t i = 0; i < batch; ++i)
       results[i].prime = modular_prime(prime_index++);
@@ -802,6 +770,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     for (const PrimeSolve& r : results) {
       if (r.status == PrimeStatus::Unlucky) {
         ++unlucky;
+        unlucky_bits += static_cast<std::size_t>(std::bit_width(r.prime)) - 1;
         continue;
       }
       if (r.status != PrimeStatus::Ok) continue;  // abandoned: deadline
@@ -820,26 +789,23 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
                         fold_primes.end());
     if (primes_used >= checkpoint && m.bit_length() < budget_bits) {
       checkpoint = primes_used * 2;
-      if (auto x = attempt(false)) {
-        if (!options.verify || verify_solution(*x))
-          return finish(true, std::move(x));
+      if (auto x = attempt()) {
+        if (verify_solution(*x)) return finish(true, std::move(x));
         // A spurious candidate survived the congruence checks; none of the
         // caches can be trusted until more primes arrive.
         for (EntryCand& c : cands) c.valid = false;
       }
     }
   }
-  // Full Hadamard budget reached: reconstruction now succeeds for every
-  // nonsingular system.  If the cached/shared-denominator attempt fails or
-  // mis-verifies, retry once strictly (pure per-entry Euclid, no caches);
-  // a failure after that means singular (or pathological), which the
-  // caller resolves via Bareiss.
-  auto x = attempt(false);
-  if (x && options.verify && !verify_solution(*x)) x.reset();
-  if (!x) {
-    x = attempt(true);
-    if (x && options.verify && !verify_solution(*x)) x.reset();
-  }
+  // Full Hadamard budget reached with at least one lucky prime, so det(M)
+  // != 0 and Cramer's rule bounds every numerator and denominator below the
+  // balanced reconstruction bound: every route of reconstruct_entry yields
+  // the unique true solution.  A failure here is a bug, not an input.
+  auto x = attempt();
+  if (!x || !verify_solution(*x))
+    throw std::logic_error(
+        "solve_rational_modular: reconstruction failed at the full "
+        "Hadamard budget");
   return finish(false, std::move(x));
 }
 

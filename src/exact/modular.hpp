@@ -34,26 +34,6 @@
 
 namespace spiv::exact {
 
-/// Which exact solver backs solve_lyapunov_exact (and the modular
-/// determinant used by the charpoly validation engines).
-enum class ExactSolverStrategy {
-  Bareiss,  ///< fraction-free Bareiss elimination (the original path)
-  Modular,  ///< multi-modular CRT + rational reconstruction
-  Auto,     ///< modular above a size threshold, Bareiss below
-};
-
-/// Strategy from $SPIV_EXACT_SOLVER ("bareiss" | "modular" | "auto";
-/// unset/empty -> Auto; anything else warns once and falls back to Auto).
-/// Re-read on every call so tests can flip the environment.
-[[nodiscard]] ExactSolverStrategy exact_solver_strategy();
-
-/// Whether the modular path should be taken for a system of the given
-/// dimension under `strategy`.  Auto prefers modular from dimension 6 up:
-/// below that the whole Bareiss elimination stays in single-limb territory
-/// and the CRT bookkeeping costs more than it saves.
-[[nodiscard]] bool modular_preferred(std::size_t dim,
-                                     ExactSolverStrategy strategy);
-
 /// Per-solve statistics (also mirrored into the obs registry).
 struct ModularStats {
   std::uint64_t primes_used = 0;     ///< lucky primes folded into the CRT
@@ -83,13 +63,6 @@ struct ModularOptions {
   /// 1 = serial on the calling thread.  Results are identical for any
   /// value.
   std::size_t jobs = 0;
-  /// Recheck A·X == B exactly after reconstruction (makes the early exit
-  /// sound; cheap next to the elimination it replaces).
-  bool verify = true;
-  /// First trial-reconstruction checkpoint, in lucky primes folded; the
-  /// schedule doubles from there.  0 = $SPIV_MODULAR_CHECKPOINT (default
-  /// 4).  Purely a performance knob: any schedule yields the same result.
-  std::size_t checkpoint = 0;
   ModularStats* stats = nullptr;  ///< optional out-param
 };
 
@@ -98,18 +71,20 @@ struct ModularOptions {
 /// "unlucky prime" instances whose determinant vanishes mod a known prime).
 [[nodiscard]] std::uint64_t modular_prime(std::size_t index);
 
-/// Exact solve A X = B for square A by the multi-modular method.  Returns
-/// nullopt when A is singular *or* when reconstruction fails — callers fall
-/// back to Bareiss, which decides singularity exactly.  With
-/// options.verify (default) a returned matrix is a proven solution.
-/// Throws TimeoutError when `deadline` expires.
+/// Exact solve A X = B for square A by the multi-modular method.  Every
+/// returned matrix is a proven solution (exact A·X == B recheck).  Returns
+/// nullopt only on a proof that A is singular: the unlucky primes, each of
+/// which divides det(A), multiply past the Hadamard bound on |det(A)|.
+/// Throws TimeoutError when `deadline` expires, and std::logic_error if
+/// reconstruction fails at the full Hadamard budget (an internal invariant
+/// violation: Cramer's rule guarantees it succeeds there).
 [[nodiscard]] std::optional<RatMatrix> solve_rational_modular(
     const RatMatrix& a, const RatMatrix& b, const Deadline& deadline = {},
     const ModularOptions& options = {});
 
 /// Exact determinant by per-prime elimination + CRT, run to the full
 /// Hadamard budget (no early exit, hence deterministic with no recheck
-/// needed).  Used by the charpoly validation engines for larger matrices.
+/// needed).  Every node of the interpolation charpoly engine runs on it.
 [[nodiscard]] Rational determinant_modular(const RatMatrix& m,
                                            const Deadline& deadline = {},
                                            const ModularOptions& options = {});

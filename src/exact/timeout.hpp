@@ -48,6 +48,37 @@ class CancelToken {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
+/// The time source of every Deadline and of the verify pipeline's stage
+/// timers (synthesis and validation seconds).  It reads
+/// std::chrono::steady_clock unless a test installs a replacement — e.g. a
+/// counter that advances one tick per read, which makes budget arithmetic
+/// exact and independent of machine speed.  No environment variable or
+/// flag reaches it.
+namespace time_source {
+
+using TimePoint = std::chrono::steady_clock::time_point;
+using NowFn = TimePoint (*)();
+
+namespace detail {
+inline std::atomic<NowFn> g_now{nullptr};
+}  // namespace detail
+
+[[nodiscard]] inline TimePoint now() {
+  const NowFn fn = detail::g_now.load(std::memory_order_relaxed);
+  return fn ? fn() : std::chrono::steady_clock::now();
+}
+
+/// Seconds elapsed on this source since `t0`.
+[[nodiscard]] inline double seconds_since(TimePoint t0) {
+  return std::chrono::duration<double>(now() - t0).count();
+}
+
+/// Testing hook: route now() through `fn`; nullptr restores steady_clock.
+/// Install it before the work it should time starts.
+inline void set_for_testing(NowFn fn) { detail::g_now.store(fn); }
+
+}  // namespace time_source
+
 /// A wall-clock budget, optionally bound to a CancelToken.
 /// Default-constructed deadlines never expire.
 class Deadline {
@@ -62,7 +93,7 @@ class Deadline {
   /// would overflow into a *past* expiry and time every request out
   /// instantly (e.g. `spiv-serve --timeout 1e18`).
   explicit Deadline(std::chrono::duration<double> budget) {
-    const Clock::time_point now = Clock::now();
+    const Clock::time_point now = time_source::now();
     const std::chrono::duration<double> headroom =
         std::chrono::duration<double>(Clock::time_point::max() - now);
     expiry_ = budget >= headroom
@@ -92,7 +123,7 @@ class Deadline {
 
   [[nodiscard]] bool expired() const {
     if (cancel_ && cancel_->load(std::memory_order_relaxed)) return true;
-    return expiry_ && Clock::now() > *expiry_;
+    return expiry_ && time_source::now() > *expiry_;
   }
 
   /// Throws TimeoutError when expired.

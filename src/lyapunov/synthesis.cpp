@@ -1,6 +1,5 @@
 #include "lyapunov/synthesis.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "exact/lyapunov_exact.hpp"
@@ -45,8 +44,7 @@ std::optional<Candidate> synthesize_eq_smt(const Matrix& a,
   const exact::RatMatrix a_exact = exact::rat_matrix_from_doubles(
       a.data().data(), a.rows(), a.cols(), /*digits=*/0);
   auto p_exact = exact::solve_lyapunov_exact(
-      a_exact, exact::RatMatrix::identity(a.rows()), options.deadline,
-      options.exact_solver);
+      a_exact, exact::RatMatrix::identity(a.rows()), options.deadline);
   if (!p_exact) return std::nullopt;
   Candidate c;
   c.method = Method::EqSmt;
@@ -109,7 +107,7 @@ std::optional<Candidate> synthesize(const Matrix& a, Method method,
   obs::Span span{"synthesis", to_string(method)};
   obs::Histogram& method_seconds = obs::Registry::global().histogram(
       "spiv_synthesis_seconds{method=\"" + to_string(method) + "\"}");
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = time_source::now();
   std::optional<Candidate> c;
   switch (method) {
     case Method::EqSmt: c = synthesize_eq_smt(a, options); break;
@@ -122,9 +120,7 @@ std::optional<Candidate> synthesize(const Matrix& a, Method method,
       break;
   }
   if (c) {
-    c->synth_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    c->synth_seconds = time_source::seconds_since(start);
     method_seconds.observe(c->synth_seconds);
   }
   return c;

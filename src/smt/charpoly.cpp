@@ -9,23 +9,6 @@ namespace spiv::smt {
 using exact::RatMatrix;
 using exact::Rational;
 
-namespace {
-
-/// Exact determinant for one interpolation node under the configured
-/// strategy.  Runs the modular path serially (jobs = 1): the engine is
-/// itself invoked from parallel validation sweeps, and nesting job pools
-/// inside each node would oversubscribe the machine.
-Rational node_determinant(const RatMatrix& shifted, const Deadline& deadline) {
-  if (exact::modular_preferred(shifted.rows(), exact::exact_solver_strategy())) {
-    exact::ModularOptions options;
-    options.jobs = 1;
-    return exact::determinant_modular(shifted, deadline, options);
-  }
-  return shifted.determinant(deadline);
-}
-
-}  // namespace
-
 std::vector<Rational> characteristic_polynomial_faddeev(
     const RatMatrix& m, const Deadline& deadline) {
   if (!m.is_square())
@@ -63,8 +46,12 @@ std::vector<Rational> characteristic_polynomial_interpolation(
       shifted(i, i) += Rational{static_cast<std::int64_t>(k)};
     // Each determinant is the engine's dominant cost; pass the deadline so
     // a cancellation preempts inside the elimination, not just between
-    // interpolation nodes.
-    values[k] = node_determinant(shifted, deadline);
+    // interpolation nodes.  Serial (jobs = 1): the engine itself runs
+    // inside parallel validation sweeps, and a job pool per node would
+    // oversubscribe the machine.
+    exact::ModularOptions options;
+    options.jobs = 1;
+    values[k] = exact::determinant_modular(shifted, deadline, options);
   }
   // Newton's divided differences on integer nodes, then expand to the
   // monomial basis.

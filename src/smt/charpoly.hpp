@@ -26,7 +26,8 @@ namespace spiv::smt {
 
 /// Same polynomial via evaluation/interpolation: det(k I - M) at the
 /// integer nodes k = 0..n followed by exact Lagrange interpolation.
-/// n+1 rational eliminations — a different cost profile (CVC5-like engine).
+/// n+1 multi-modular determinants — a different cost profile (CVC5-like
+/// engine).
 [[nodiscard]] std::vector<exact::Rational>
 characteristic_polynomial_interpolation(const exact::RatMatrix& m,
                                         const Deadline& deadline = {});

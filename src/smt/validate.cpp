@@ -1,6 +1,5 @@
 #include "smt/validate.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "numeric/eigen.hpp"
@@ -140,12 +139,10 @@ Verdict check_positive_definite(const RatMatrix& m, Engine engine,
     throw std::invalid_argument(
         "check_positive_definite: symmetric matrix required");
   Verdict verdict;
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = time_source::now();
   auto finish = [&](Outcome o) {
     verdict.outcome = o;
-    verdict.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    verdict.seconds = time_source::seconds_since(start);
     return verdict;
   };
   try {

@@ -1,6 +1,5 @@
 #include "verify/verify.hpp"
 
-#include <chrono>
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -29,14 +28,12 @@ void count_outcome(obs::Registry& registry, Status status) {
       .add();
 }
 
-/// The synthesis options actually handed to the kernel: request backend and
-/// context solver strategy folded in, so the cache key and the computation
-/// can never disagree about a parameter.
-lyap::SynthesisOptions effective_options(const VerifyContext& ctx,
-                                         const VerifyRequest& req) {
+/// The synthesis options actually handed to the kernel: request backend
+/// folded in, so the cache key and the computation can never disagree
+/// about a parameter.
+lyap::SynthesisOptions effective_options(const VerifyRequest& req) {
   lyap::SynthesisOptions options = req.options;
   if (req.backend) options.backend = *req.backend;
-  if (!options.exact_solver) options.exact_solver = ctx.exact_solver;
   return options;
 }
 
@@ -45,7 +42,7 @@ VerifyOutcome run_verify_impl(const VerifyContext& ctx,
   VerifyOutcome out;
   out.cache = ctx.store ? Cache::Miss : Cache::Off;
 
-  lyap::SynthesisOptions options = effective_options(ctx, req);
+  lyap::SynthesisOptions options = effective_options(req);
 
   // The pipeline's ONE cache-key derivation: the CertRequest mirrors the
   // options object the kernel runs with, so a hit can never replay a
@@ -206,16 +203,6 @@ VerifyContext VerifyContext::from_env() {
   ctx.store = store::CertStore::from_env();
   ctx.jobs = core::env::jobs().value_or(0);
   ctx.negative_ttl_seconds = core::env::negative_ttl().value_or(0.0);
-  switch (core::env::exact_solver()) {
-    case core::env::ExactSolver::Bareiss:
-      ctx.exact_solver = exact::ExactSolverStrategy::Bareiss;
-      break;
-    case core::env::ExactSolver::Modular:
-      ctx.exact_solver = exact::ExactSolverStrategy::Modular;
-      break;
-    case core::env::ExactSolver::Auto:
-      break;  // nullopt — kernels resolve Auto themselves
-  }
   return ctx;
 }
 
@@ -236,7 +223,7 @@ VerifyOutcome run_validate(const VerifyContext& ctx,
   smt::CheckOptions check;
   check.det_encoding = req.det_encoding;
   check.deadline = deadline;
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = time_source::now();
   try {
     out.validation =
         smt::validate_lyapunov(req.a, req.p, req.engine, req.digits, check);
@@ -251,9 +238,7 @@ VerifyOutcome run_validate(const VerifyContext& ctx,
   }
   // Wall clock, not the verdicts' own sum: the Fig. 3 protocol reports the
   // harness-observed latency of the whole validation call.
-  out.validate_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
+  out.validate_seconds = time_source::seconds_since(t0);
   if (out.validation.positivity.outcome == smt::Outcome::Timeout ||
       out.validation.decrease.outcome == smt::Outcome::Timeout) {
     out.status = Status::Timeout;
@@ -269,7 +254,7 @@ VerifyOutcome run_synthesize(const VerifyContext& ctx,
   VerifyOutcome out;
   out.cache = Cache::Off;
 
-  lyap::SynthesisOptions options = effective_options(ctx, req);
+  lyap::SynthesisOptions options = effective_options(req);
   const bool shared = std::holds_alternative<SharedBudget>(req.budget);
   Deadline deadline =
       shared ? mint_deadline(ctx, std::get<SharedBudget>(req.budget).seconds)

@@ -182,37 +182,6 @@ TEST(TracePath, SetAndUnset) {
   }
 }
 
-TEST(ExactSolver, AllRecognizedSpellings) {
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "bareiss"};
-    EXPECT_EQ(env::exact_solver(), env::ExactSolver::Bareiss);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "modular"};
-    EXPECT_EQ(env::exact_solver(), env::ExactSolver::Modular);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "auto"};
-    EXPECT_EQ(env::exact_solver(), env::ExactSolver::Auto);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", nullptr};
-    EXPECT_EQ(env::exact_solver(), env::ExactSolver::Auto);
-  }
-}
-
-TEST(ExactSolver, InvalidFallsBackToAutoAndWarnsOnce) {
-  ScopedEnv env{"SPIV_EXACT_SOLVER", "simplex"};
-  env::rearm_warnings_for_testing();
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(env::exact_solver(), env::ExactSolver::Auto);
-  EXPECT_EQ(env::exact_solver(), env::ExactSolver::Auto);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("SPIV_EXACT_SOLVER"), std::string::npos);
-  EXPECT_NE(err.find("simplex"), std::string::npos);
-  EXPECT_EQ(err.find("SPIV_EXACT_SOLVER"), err.rfind("SPIV_EXACT_SOLVER"));
-}
-
 // Accessors must re-read the environment on every call (tests and
 // long-running services flip variables at runtime).
 TEST(Env, AccessorsReReadPerCall) {

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <random>
 
+#include "exact/int_system.hpp"
 #include "exact/lyapunov_exact.hpp"
 #include "exact/matrix.hpp"
 #include "exact/modular.hpp"
@@ -29,31 +29,6 @@ RatMatrix random_stable(std::mt19937_64& rng, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) a(i, i) -= Rational{40};
   return a;
 }
-
-/// RAII environment override (tests run single-threaded).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old) saved_ = old;
-    had_ = old != nullptr;
-    if (value)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 // ---------------------------------------------------------------- kernel
 
@@ -238,11 +213,11 @@ TEST(SolveRationalModular, PaperSizeVechSystemsMatchBareissAcrossJobs) {
 TEST(SolveRationalModular, PerEntryReconstructionHandlesMixedDenominators) {
   // Output-sensitive reconstruction: a diagonal system whose solution
   // mixes tiny denominators (reconstructable after a handful of primes,
-  // then served from the per-entry cache) with ~200-bit ones (needing
-  // most of the Hadamard budget), plus repeats that exercise the
+  // then served from the per-entry cache) with a ~320-bit one (beyond the
+  // first checkpoint's reach), plus repeats that exercise the
   // shared-denominator fast path.
   const BigInt huge1 = BigInt{"340282366920938463463374607431768211507"};
-  const BigInt huge2 = BigInt{"18446744073709551629"}.pow(3);
+  const BigInt huge2 = BigInt{"18446744073709551629"}.pow(5);
   const std::vector<Rational> expect = {
       Rational{1, 2},
       Rational{-3, 7},
@@ -266,11 +241,16 @@ TEST(SolveRationalModular, PerEntryReconstructionHandlesMixedDenominators) {
       b(i, 0) = Rational{1};
     }
   }
+  ModularStats stats;
   ModularOptions options;
-  options.checkpoint = 1;  // reconstruct as eagerly as possible
+  options.jobs = 1;  // 8-prime batches: the first attempt sees 496 bits
+  options.stats = &stats;
   auto x = solve_rational_modular(a, b, Deadline{}, options);
   ASSERT_TRUE(x.has_value());
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ((*x)(i, 0), expect[i]) << i;
+  // The first attempt fails on the 320-bit entry; the next one serves the
+  // entries it already reconstructed from the per-entry cache.
+  EXPECT_GE(stats.attempts, 2u);
 }
 
 TEST(SolveRationalModular, ParallelPassMatchesSerialOnMixedDenominators) {
@@ -383,20 +363,6 @@ TEST(SolveRationalModular, SkipsSeededUnluckyPrimeAtSize15) {
   EXPECT_GE(stats.unlucky_primes, 1u);
 }
 
-TEST(SolveRationalModular, CheckpointEnvKnobPreservesTheResult) {
-  std::mt19937_64 rng{7117};
-  RatMatrix a = random_stable(rng, 6);
-  RatMatrix b = random_matrix(rng, 6, 1);
-  const auto reference = solve_rational_modular(a, b);
-  ASSERT_TRUE(reference.has_value());
-  for (const char* v : {"1", "64", "not-a-number"}) {
-    ScopedEnv env{"SPIV_MODULAR_CHECKPOINT", v};
-    auto x = solve_rational_modular(a, b);
-    ASSERT_TRUE(x.has_value()) << v;
-    EXPECT_EQ(*x, *reference) << v;
-  }
-}
-
 TEST(SolveRationalModular, EarlyExitsWhenSolutionIsSmallerThanTheBound) {
   // Scaling the whole system by 10^40 inflates the Hadamard budget far
   // beyond what the (unchanged, small) solution needs; checkpointed trial
@@ -442,75 +408,76 @@ TEST(DeterminantModular, MatchesBareissIncludingSignAndZero) {
   EXPECT_EQ(determinant_modular(neg), Rational{-1});
 }
 
-// -------------------------------------------------------------- strategy
+// ------------------------------------------------------- Lyapunov solves
 
-TEST(Strategy, EnvParsingAndThreshold) {
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "bareiss"};
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Bareiss);
-    EXPECT_FALSE(modular_preferred(100, exact_solver_strategy()));
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "modular"};
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Modular);
-    EXPECT_TRUE(modular_preferred(2, exact_solver_strategy()));
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "auto"};
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Auto);
-    EXPECT_FALSE(modular_preferred(5, exact_solver_strategy()));
-    EXPECT_TRUE(modular_preferred(6, exact_solver_strategy()));
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", nullptr};
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Auto);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "simplex"};  // invalid: warn + Auto
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Auto);
-  }
+/// A = S diag(1, -1, -2, ...) S^-1 for a dense unimodular integer S (unit
+/// lower times unit upper triangular, so S^-1 is integral too).  The
+/// eigenvalues 1 and -1 sum to zero, so the Lyapunov operator is singular.
+RatMatrix singular_lyapunov_matrix(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng{seed};
+  std::uniform_int_distribution<std::int64_t> entry{-2, 2};
+  RatMatrix lower = RatMatrix::identity(n);
+  RatMatrix upper = RatMatrix::identity(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j) {
+      lower(i, j) = Rational{entry(rng)};
+      upper(j, i) = Rational{entry(rng)};
+    }
+  const RatMatrix s = lower * upper;
+  auto s_inv = s.inverse();
+  RatMatrix d{n, n};
+  d(0, 0) = Rational{1};
+  for (std::size_t i = 1; i < n; ++i)
+    d(i, i) = Rational{-static_cast<std::int64_t>(i)};
+  return s * d * *s_inv;
 }
 
-TEST(Strategy, LyapunovSolveIsIdenticalAcrossBackends) {
-  std::mt19937_64 rng{7013};
-  for (std::size_t n = 3; n <= 5; ++n) {
-    RatMatrix a = random_stable(rng, n);
-    RatMatrix q = RatMatrix::identity(n);
-    std::optional<RatMatrix> via_bareiss, via_modular;
-    {
-      ScopedEnv env{"SPIV_EXACT_SOLVER", "bareiss"};
-      via_bareiss = solve_lyapunov_exact(a, q);
-    }
-    {
-      ScopedEnv env{"SPIV_EXACT_SOLVER", "modular"};
-      via_modular = solve_lyapunov_exact(a, q);
-    }
-    ASSERT_TRUE(via_bareiss.has_value());
-    ASSERT_TRUE(via_modular.has_value());
-    EXPECT_EQ(*via_bareiss, *via_modular) << "n=" << n;
-    // And the result actually solves the Lyapunov equation.
-    RatMatrix r = lyapunov_residual(a, *via_modular, q);
+TEST(SolveLyapunovExact, DenseSingularOperatorIsProvenSingular) {
+  for (std::size_t n : {std::size_t{3}, std::size_t{12}}) {
+    const RatMatrix a = singular_lyapunov_matrix(n, 7200 + n);
     for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) EXPECT_TRUE(r(i, j).is_zero());
+      for (std::size_t j = 0; j < n; ++j)
+        ASSERT_TRUE(a(i, j).den().is_one()) << "n=" << n;
+    const RatMatrix op = lyapunov_operator_vech(a);
+    ASSERT_EQ(op.rows(), n * (n + 1) / 2);
+    const std::vector<Rational> v = vech(RatMatrix::identity(n) * Rational{-1});
+    RatMatrix rhs{op.rows(), 1};
+    for (std::size_t i = 0; i < v.size(); ++i) rhs(i, 0) = v[i];
+    ModularStats stats;
+    ModularOptions options;
+    options.stats = &stats;
+    EXPECT_FALSE(solve_rational_modular(op, rhs, Deadline{}, options)
+                     .has_value())
+        << "n=" << n;
+    // The proof: no prime was lucky, and the unlucky ones (each > 2^61,
+    // each dividing det) multiply past the Hadamard bound on |det|.
+    EXPECT_EQ(stats.primes_used, 0u) << "n=" << n;
+    const std::size_t det_bits =
+        detail::clear_denominators(op, &rhs).det_bound_bits;
+    EXPECT_GE(stats.unlucky_primes * 61, det_bits) << "n=" << n;
+    EXPECT_FALSE(solve_lyapunov_exact(a, RatMatrix::identity(n)).has_value())
+        << "n=" << n;
+    if (n == 3) {
+      EXPECT_TRUE(op.determinant().is_zero());  // the Bareiss oracle agrees
+    }
   }
 }
 
-TEST(Strategy, FullKroneckerSolveIsIdenticalAcrossBackends) {
-  std::mt19937_64 rng{7017};
-  RatMatrix a = random_stable(rng, 3);
-  RatMatrix q = RatMatrix::identity(3);
-  std::optional<RatMatrix> via_bareiss, via_modular;
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "bareiss"};
-    via_bareiss = solve_lyapunov_exact_full_kronecker(a, q);
+TEST(SolveLyapunovExact, SmallSizesMatchTheBareissOracle) {
+  // n = 1..5 (N = 1..15 unknowns): the sizes the modular path is not
+  // tuned for.  The result equals Bareiss on the vech system bit for bit
+  // and solves the Lyapunov equation exactly.
+  std::mt19937_64 rng{7013};
+  for (std::size_t n = 1; n <= 5; ++n) {
+    const RatMatrix a = random_stable(rng, n);
+    const RatMatrix q = RatMatrix::identity(n);
+    const auto p = solve_lyapunov_exact(a, q);
+    const auto oracle = lyapunov_operator_vech(a).solve(vech(-q));
+    ASSERT_TRUE(p.has_value()) << "n=" << n;
+    ASSERT_TRUE(oracle.has_value()) << "n=" << n;
+    EXPECT_EQ(*p, unvech(*oracle, n)) << "n=" << n;
+    EXPECT_EQ(lyapunov_residual(a, *p, q), RatMatrix(n, n)) << "n=" << n;
   }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "modular"};
-    via_modular = solve_lyapunov_exact_full_kronecker(a, q);
-  }
-  ASSERT_TRUE(via_bareiss.has_value());
-  ASSERT_TRUE(via_modular.has_value());
-  EXPECT_EQ(*via_bareiss, *via_modular);
 }
 
 }  // namespace

@@ -174,18 +174,5 @@ TEST(RatMatrix, FromDoublesRoundedAndExact) {
   EXPECT_EQ(rounded(1, 0), Rational{"2.5"});
 }
 
-TEST(RatMatrix, KroneckerProduct) {
-  RatMatrix a{{q(1), q(2)}, {q(3), q(4)}};
-  RatMatrix b{{q(0), q(1)}, {q(1), q(0)}};
-  RatMatrix k = kronecker(a, b);
-  ASSERT_EQ(k.rows(), 4u);
-  EXPECT_EQ(k(0, 1), q(1));
-  EXPECT_EQ(k(0, 3), q(2));
-  EXPECT_EQ(k(3, 0), q(3));
-  // det(A (x) B) = det(A)^n det(B)^m.
-  EXPECT_EQ(k.determinant(),
-            a.determinant().pow(2) * b.determinant().pow(2));
-}
-
 }  // namespace
 }  // namespace spiv::exact

@@ -9,7 +9,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +21,7 @@
 #include "model/switched_pi.hpp"
 #include "service/service.hpp"
 #include "store/cert_store.hpp"
+#include "tick_clock.hpp"
 
 namespace spiv {
 namespace {
@@ -202,9 +202,10 @@ TEST_F(VerifyPipelineTest, GoldenParityOnHit) {
 }
 
 TEST_F(VerifyPipelineTest, GoldenParityOnTimeout) {
-  // Pin the slow deterministic exact backend so the eq-smt synthesis
-  // reliably outlives a millisecond budget.
-  ScopedEnv bareiss{"SPIV_EXACT_SOLVER", "bareiss"};
+  // On the tick clock a 1 ms budget is one clock read: the eq-smt
+  // synthesis always outlives it.
+  ScopedEnv jobs{"SPIV_JOBS", "1"};
+  ScopedTickClock clock;
   const std::string transcript = drive(
       "verify " + case_path("size5") + " 0 eq-smt - smt-z3 0 0.001\nquit\n",
       nullptr);
@@ -292,9 +293,10 @@ TEST_F(VerifyPipelineTest, BudgetPolicySemantics) {
   // used to mint a FRESH deadline per stage, letting one --timeout T run
   // burn up to 3T).  Under SharedBudget the stages draw from one deadline;
   // under SplitBudget the validation clock must not start until synthesis
-  // has finished.  Calibrate a workload where both stages take comparable,
-  // measurable time, then observe both policies.
-  ScopedEnv bareiss{"SPIV_EXACT_SOLVER", "bareiss"};
+  // has finished.  On the tick clock with one worker, each stage's time is
+  // a fixed count of clock reads, so a measured run replays exactly.
+  ScopedEnv jobs{"SPIV_JOBS", "1"};
+  ScopedTickClock clock;
   verify::VerifyContext ctx;
   verify::VerifyRequest req;
   req.a = closed_a("size5");
@@ -306,43 +308,30 @@ TEST_F(VerifyPipelineTest, BudgetPolicySemantics) {
   ASSERT_EQ(calib.status, verify::Status::Valid);
   const double s = calib.synth_seconds;
   const double v = calib.validate_seconds;
+  // Room for the few reads between and around the stages.
+  ASSERT_GE(s, 0.02);
+  ASSERT_GE(v, 0.01);
 
   // SharedBudget{s + v/2}: synthesis spends s, validation gets only v/2 of
   // the v it needs and must time out — and the whole request stays under
-  // s + v wall-clock (the old per-stage deadlines ran to completion).
-  // Discriminates only when both stages are long enough that scheduler
-  // noise cannot flip the outcome and a fresh deadline would have been
-  // ample (s >= 0.6 v, cf. the sibling test in service_test.cpp).
-  const bool shared_discriminates = s >= 0.2 && v >= 0.2 && s >= 0.6 * v;
-  if (shared_discriminates) {
-    req.budget = verify::SharedBudget{s + 0.5 * v};
-    const auto t0 = std::chrono::steady_clock::now();
-    const verify::VerifyOutcome shared = verify::run_verify(ctx, req);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    EXPECT_EQ(shared.status, verify::Status::Timeout)
-        << "budget " << s + 0.5 * v;
-    EXPECT_EQ(shared.timeout_stage, verify::Stage::Validation);
-    EXPECT_LT(wall, s + v);
-  }
+  // s + v (the old per-stage deadlines ran to completion).
+  req.budget = verify::SharedBudget{s + 0.5 * v};
+  const auto t0 = time_source::now();
+  const verify::VerifyOutcome shared = verify::run_verify(ctx, req);
+  const double elapsed = time_source::seconds_since(t0);
+  EXPECT_EQ(shared.status, verify::Status::Timeout)
+      << "budget " << s + 0.5 * v;
+  EXPECT_EQ(shared.timeout_stage, verify::Stage::Validation);
+  EXPECT_LT(elapsed, s + v);
 
   // SplitBudget{2s, v + s/2}: if the validation deadline were minted at
   // request start, synthesis would eat s of it and leave v - s/2 < v —
   // a timeout.  Minted after synthesis (the Table I semantics), validation
-  // holds v + s/2 > v and completes.  Only needs synthesis to be long
-  // (the s/2 margin must dominate noise).
-  const bool split_discriminates = s >= 0.4;
-  if (split_discriminates) {
-    req.budget = verify::SplitBudget{2.0 * s + 1.0, v + 0.5 * s};
-    const verify::VerifyOutcome split = verify::run_verify(ctx, req);
-    EXPECT_EQ(split.status, verify::Status::Valid)
-        << "validation clock started ticking during synthesis?";
-  }
-
-  if (!shared_discriminates && !split_discriminates)
-    GTEST_SKIP() << "workload cannot discriminate on this machine (synthesis "
-                 << s << " s, validation " << v << " s)";
+  // holds v + s/2 > v and completes.
+  req.budget = verify::SplitBudget{2.0 * s + 1.0, v + 0.5 * s};
+  const verify::VerifyOutcome split = verify::run_verify(ctx, req);
+  EXPECT_EQ(split.status, verify::Status::Valid)
+      << "validation clock started ticking during synthesis?";
 }
 
 TEST_F(VerifyPipelineTest, NegativeCacheRepaysSynthFailedWithoutRerunning) {
