@@ -1,6 +1,6 @@
-// Ablation: fraction-free Bareiss vs the multi-modular CRT solver on the
-// vech Lyapunov system of every benchmark size — the speedup that lets the
-// eq-smt method (which always runs the modular solver) finish at sizes
+// Ablation: fraction-free Bareiss vs the p-adic (Dixon lifting) solver on
+// the vech Lyapunov system of every benchmark size — the speedup that lets
+// the eq-smt method (which always runs the modular solver) finish at sizes
 // 10-18, where the paper's Bareiss-style elimination times out.  Both
 // solutions are compared bit for bit ("same" column).
 //
@@ -93,10 +93,11 @@ int main(int argc, char** argv) {
       } catch (const TimeoutError&) {
       }
     }
-    // Parallel-phase speedup: rerun single-threaded and compare the CRT +
-    // reconstruction stage (the part the batched product-tree fold spreads
-    // over core::for_each_block).  Skipped when only one worker is
-    // available — a 1-core box would just double the runtime to report 1.0.
+    // Parallel-phase speedup: rerun single-threaded and compare the p-adic
+    // conversion + reconstruction stage (the part that fans out over
+    // core::for_each_block; the field keeps its crt_ name).  Skipped when
+    // only one worker is available — a 1-core box would just double the
+    // runtime to report 1.0.
     double speedup_crt_rec = -1.0;
     if (jobs > 1 && t_modular > 0) {
       exact::ModularStats stats1;

@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "exact/int_system.hpp"
 #include "exact/lyapunov_exact.hpp"
 #include "exact/modular.hpp"
 #include "lyapunov/synthesis.hpp"
@@ -113,8 +114,8 @@ void BM_CrtFold(benchmark::State& state) {
 BENCHMARK(BM_CrtFold)->Arg(8)->Arg(32);
 
 void BM_RationalReconstruct(benchmark::State& state) {
-  // Euclid pullback of one entry whose CRT image spans range(0) primes —
-  // the per-entry cost the output-sensitive cache exists to avoid.
+  // Euclid pullback of one small entry whose CRT image spans range(0)
+  // primes: after a few Lehmer rounds one huge quotient ends the run.
   const auto primes_n = static_cast<std::size_t>(state.range(0));
   const exact::BigInt num{"123456789123456789"};
   const exact::BigInt den{"987654321987"};
@@ -140,8 +141,9 @@ void BM_RationalReconstruct(benchmark::State& state) {
 BENCHMARK(BM_RationalReconstruct)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_MontgomeryMulInv(benchmark::State& state) {
-  // The inner product of the per-prime elimination kernel: one Montgomery
-  // multiply per matrix entry per pivot, plus the occasional inverse.
+  // The inner product of the elimination kernels (the determinant's
+  // per-prime eliminations, the lifting solve's one factorisation): one
+  // Montgomery multiply per matrix entry per pivot.
   const exact::Montgomery62 mont{exact::modular_prime(0)};
   std::uint64_t x = mont.to_mont(123456789u);
   const std::uint64_t y = mont.to_mont(987654321u);
@@ -152,10 +154,36 @@ void BM_MontgomeryMulInv(benchmark::State& state) {
 }
 BENCHMARK(BM_MontgomeryMulInv);
 
+void BM_DixonLiftStep(benchmark::State& state) {
+  // One p-adic lifting step on the paper's size-15 vech system (N = 171
+  // unknowns, the exact-eqsmt workload): a triangular solve mod p through
+  // the LU factors plus the sparse fixed-width residual update.  A size-15
+  // solve takes one step per digit, 433 of them.  Each step also stores
+  // its 171-word digit (1.4 KB).
+  for (const auto& bm : model::make_benchmark_family()) {
+    if (bm.name != "size15") continue;
+    const auto mode =
+        model::close_loop_single_mode(bm.plant, model::engine_gains_mode0());
+    const std::size_t d = mode.a.rows();
+    const exact::RatMatrix op = exact::lyapunov_operator_vech(
+        exact::rat_matrix_from_doubles(mode.a.data().data(), d, d, 0));
+    exact::RatMatrix rhs{op.rows(), 1};
+    const auto v = exact::vech(exact::RatMatrix::identity(d) * exact::Rational{-1});
+    for (std::size_t i = 0; i < v.size(); ++i) rhs(i, 0) = v[i];
+    const exact::detail::IntSystem sys =
+        exact::detail::clear_denominators(op, &rhs);
+    std::uint64_t unlucky = 0;
+    auto lift = exact::detail::DixonLift::start(sys, Deadline{}, unlucky);
+    for (auto _ : state) lift->step();
+    state.counters["unknowns"] = static_cast<double>(op.rows());
+  }
+}
+BENCHMARK(BM_DixonLiftStep);
+
 void BM_ModularVsBareissSolve(benchmark::State& state) {
   // Whole-solver comparison on one vech-sized system (state.range(1) = 1
-  // selects the modular backend) — the per-prime kernel overhead shows up
-  // as the gap between the two at small sizes.
+  // selects the modular backend) — the factorisation and checkpoint
+  // overhead shows up as the gap between the two at small sizes.
   const auto n = static_cast<std::size_t>(state.range(0));
   Matrix a = random_hurwitz(n, 11);
   exact::RatMatrix a_exact =

@@ -390,13 +390,18 @@ std::pair<BigInt::Limbs, BigInt::Limbs> BigInt::divmod_magnitude(
     while (!out.empty() && out.back() == 0) out.pop_back();
     return out;
   };
-  Limbs u = shl(num, shift);
-  Limbs v = shl(den, shift);
-  const std::size_t n = v.size();
-  const std::size_t m = u.size() - n;
-  u.resize(u.size() + 1, 0);  // extra high limb
+  Limbs u_limbs = shl(num, shift);
+  const Limbs v_limbs = shl(den, shift);
+  const std::size_t n = v_limbs.size();
+  const std::size_t m = u_limbs.size() - n;
+  u_limbs.resize(u_limbs.size() + 1, 0);  // extra high limb
   Limbs quot(m + 1, 0);
   const DoubleLimb base = DoubleLimb{1} << 32;
+  // Raw limb pointers: through LimbVec::operator[] every limb store may
+  // alias the vectors' own (uint32_t) size/capacity fields, which forces a
+  // reload of the storage pointer in the inner loops.
+  Limb* const u = u_limbs.data();
+  const Limb* const v = v_limbs.data();
   for (std::size_t j = m + 1; j-- > 0;) {
     DoubleLimb numerator = (static_cast<DoubleLimb>(u[j + n]) << 32) | u[j + n - 1];
     DoubleLimb qhat = numerator / v[n - 1];
@@ -413,15 +418,13 @@ std::pair<BigInt::Limbs, BigInt::Limbs> BigInt::divmod_magnitude(
     for (std::size_t i = 0; i < n; ++i) {
       DoubleLimb p = qhat * v[i] + carry;
       carry = p >> 32;
-      std::int64_t t = static_cast<std::int64_t>(u[i + j]) -
-                       static_cast<std::int64_t>(p & 0xffffffffu) - borrow;
-      if (t < 0) {
-        t += static_cast<std::int64_t>(base);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
+      const std::int64_t t = static_cast<std::int64_t>(u[i + j]) -
+                             static_cast<std::int64_t>(p & 0xffffffffu) -
+                             borrow;
+      // t in [-2^32, 2^32): its low limb is the digit either way, and the
+      // sign bit is the borrow (branch-free; the sign is a coin flip).
       u[i + j] = static_cast<Limb>(t);
+      borrow = static_cast<std::int64_t>(static_cast<std::uint64_t>(t) >> 63);
     }
     std::int64_t t = static_cast<std::int64_t>(u[j + n]) -
                      static_cast<std::int64_t>(carry) - borrow;
@@ -443,7 +446,7 @@ std::pair<BigInt::Limbs, BigInt::Limbs> BigInt::divmod_magnitude(
   }
   while (!quot.empty() && quot.back() == 0) quot.pop_back();
   // Remainder = u[0..n) >> shift.
-  Limbs rem(u.begin(), u.begin() + n);
+  Limbs rem(u, u + n);
   if (shift) {
     for (std::size_t i = 0; i + 1 < rem.size(); ++i)
       rem[i] = (rem[i] >> shift) | (rem[i + 1] << (32 - shift));

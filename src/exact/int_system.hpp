@@ -1,7 +1,7 @@
 // spiv::exact — shared integer form of a rational linear system.
 //
-// Both exact solvers (fraction-free Bareiss in matrix.cpp and the
-// multi-modular CRT solver in modular.cpp) start the same way: multiply
+// Both exact solvers (fraction-free Bareiss in matrix.cpp and the p-adic
+// and multi-modular solvers in modular.cpp) start the same way: multiply
 // each row of the rational augmented system [A | B] by the LCM of its
 // denominators so all arithmetic happens over integers.  This header keeps
 // that preprocessing in one place; `row_scales` records the per-row LCMs
@@ -18,7 +18,7 @@
 namespace spiv::exact::detail {
 
 /// Integer augmented system [M | R] with per-row scale factors and the
-/// Hadamard-style prime budgets the multi-modular solvers run against.
+/// Hadamard-style budgets the modular solvers run against.
 /// The budgets are computed once here, at denominator-clearing time, so a
 /// solve never rescans the full matrix/RHS to rebound itself (they used to
 /// be recomputed from scratch on every solve call).
@@ -30,17 +30,19 @@ struct IntSystem {
   /// for determinant_modular, and the bar solve_rational_modular's unlucky
   /// primes must clear to prove det(M) == 0.
   std::size_t det_bound_bits = 0;
-  /// Bits the CRT modulus must reach so balanced rational reconstruction
-  /// of the solution of M x = R is guaranteed: by Cramer every numerator
-  /// is a det of M with a column swapped for an R column and every
-  /// denominator divides det(M); both are below the column-Hadamard bound,
-  /// and balanced reconstruction needs the modulus to exceed
-  /// 2 * max(num, den)^2.  Zero when there is no RHS.
+  /// Bits the modulus (p^L for the lifting solve) must reach so balanced
+  /// rational reconstruction of the solution of M x = R is guaranteed: by
+  /// Cramer every numerator is a det of M with a column swapped for an R
+  /// column and every denominator divides det(M); both are below the
+  /// column-Hadamard bound, and balanced reconstruction needs the modulus
+  /// to exceed 2 * max(num, den)^2.  Zero when there is no RHS.
   std::size_t solve_budget_bits = 0;
 };
 
 /// Clear denominators row-wise; `b` may be nullptr (no right-hand side).
-inline IntSystem clear_denominators(const RatMatrix& a, const RatMatrix* b) {
+/// Polls `deadline` once per row.
+inline IntSystem clear_denominators(const RatMatrix& a, const RatMatrix* b,
+                                    const Deadline& deadline = {}) {
   const std::size_t n = a.rows();
   const std::size_t k = b ? b->cols() : 0;
   IntSystem sys;
@@ -48,16 +50,20 @@ inline IntSystem clear_denominators(const RatMatrix& a, const RatMatrix* b) {
   sys.rhs.assign(n, std::vector<BigInt>(k));
   sys.row_scales.assign(n, BigInt{1});
   for (std::size_t i = 0; i < n; ++i) {
+    deadline.check();
     BigInt& l = sys.row_scales[i];
     auto fold = [&l](const Rational& v) {
       if (!v.den().is_one()) l = l / BigInt::gcd(l, v.den()) * v.den();
     };
     for (std::size_t j = 0; j < a.cols(); ++j) fold(a(i, j));
     for (std::size_t j = 0; j < k; ++j) fold((*b)(i, j));
+    // Zero entries (most of a sparse vech operator) stay zero.
     for (std::size_t j = 0; j < a.cols(); ++j)
-      sys.m[i][j] = a(i, j).num() * (l / a(i, j).den());
+      if (!a(i, j).is_zero())
+        sys.m[i][j] = a(i, j).num() * (l / a(i, j).den());
     for (std::size_t j = 0; j < k; ++j)
-      sys.rhs[i][j] = (*b)(i, j).num() * (l / (*b)(i, j).den());
+      if (!(*b)(i, j).is_zero())
+        sys.rhs[i][j] = (*b)(i, j).num() * (l / (*b)(i, j).den());
   }
   // Row bound: |det| <= prod_i ||row_i||_2 <= prod_i sqrt(n) max_j |m_ij|.
   const std::size_t half_log = (std::bit_width(n) + 1) / 2;

@@ -1,9 +1,11 @@
 #include "exact/lyapunov_exact.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
+#include "core/parallel.hpp"
 #include "exact/modular.hpp"
 #include "obs/metrics.hpp"
 
@@ -26,7 +28,9 @@ obs::Histogram& residual_check_seconds() {
 /// rational form would pay a multi-thousand-bit gcd per entry product (P's
 /// entries carry det-sized numerators), which is slower than the solve it
 /// is guarding.  Scaling each matrix by the lcm of its denominators turns
-/// the whole residual into BigInt multiply/accumulate.
+/// the whole residual into BigInt multiply/accumulate.  P and Q are
+/// symmetric, so the residual is too: only its lower triangle is tested,
+/// in blocks of entries fanned out over the job pool.
 bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
                                const RatMatrix& q,
                                const Deadline& deadline) {
@@ -63,19 +67,40 @@ bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
   const std::vector<BigInt> qi = scaled(q, dq);
   // (Ai^T Pi + Pi Ai) dq + Qi da dp == 0  <=>  (A^T P + P A + Q) da dp dq == 0.
   const BigInt qscale = da * dp;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      deadline.check();
-      BigInt acc;
-      for (std::size_t l = 0; l < n; ++l) {
-        if (!ai[l * n + i].is_zero() && !pi[l * n + j].is_zero())
-          acc += ai[l * n + i] * pi[l * n + j];  // (A^T)(i,l) P(l,j)
-        if (!pi[i * n + l].is_zero() && !ai[l * n + j].is_zero())
-          acc += pi[i * n + l] * ai[l * n + j];  // P(i,l) A(l,j)
-      }
-      if (!(acc * dq + qi[i * n + j] * qscale).is_zero()) return false;
-    }
-  return true;
+  std::atomic<bool> nonzero{false};
+  std::atomic<bool> abandoned{false};
+  // Lower-triangle entries (i, j), j <= i, in row-major order t = i(i+1)/2 + j.
+  core::for_each_block(
+      n * (n + 1) / 2, core::resolve_jobs(),
+      [&](std::size_t b0, std::size_t b1, const CancelToken& /*token*/) {
+        std::size_t i = 0;
+        while ((i + 1) * (i + 2) / 2 <= b0) ++i;
+        std::size_t j = b0 - i * (i + 1) / 2;
+        for (std::size_t t = b0; t < b1; ++t) {
+          if (nonzero.load(std::memory_order_relaxed)) return;
+          if (deadline.expired()) {  // jobs must not throw; driver raises
+            abandoned.store(true, std::memory_order_relaxed);
+            return;
+          }
+          BigInt acc;
+          for (std::size_t l = 0; l < n; ++l) {
+            if (!ai[l * n + i].is_zero() && !pi[l * n + j].is_zero())
+              acc += ai[l * n + i] * pi[l * n + j];  // (A^T)(i,l) P(l,j)
+            if (!pi[i * n + l].is_zero() && !ai[l * n + j].is_zero())
+              acc += pi[i * n + l] * ai[l * n + j];  // P(i,l) A(l,j)
+          }
+          if (!(acc * dq + qi[i * n + j] * qscale).is_zero()) {
+            nonzero.store(true, std::memory_order_relaxed);
+            return;
+          }
+          if (++j > i) {
+            ++i;
+            j = 0;
+          }
+        }
+      });
+  if (abandoned.load()) deadline.check();
+  return !nonzero.load();
 }
 
 }  // namespace

@@ -41,8 +41,8 @@ namespace spiv::exact {
 
 /// Batched variant: solve A^T P_c + P_c A + Q_c = 0 for every Q in `qs`
 /// against the SAME A.  The Lyapunov operator is assembled once and all
-/// right-hand sides share one elimination per prime, so k solves cost
-/// barely more than one.  Every out[c] is empty iff the operator is
+/// right-hand sides share its one factorisation mod p, so k solves cost
+/// far less than k separate ones.  Every out[c] is empty iff the operator is
 /// singular.  Throws TimeoutError on deadline.
 [[nodiscard]] std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
     const RatMatrix& a, const std::vector<RatMatrix>& qs,

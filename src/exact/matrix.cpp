@@ -154,7 +154,7 @@ Rational RatMatrix::determinant(const Deadline& deadline) const {
     throw std::invalid_argument("RatMatrix: determinant requires square");
   const std::size_t n = rows_;
   if (n == 0) return Rational{1};
-  IntSystem sys = clear_denominators(*this, nullptr);
+  IntSystem sys = clear_denominators(*this, nullptr, deadline);
   bool parity = false;
   if (!bareiss_eliminate(sys, deadline, &parity)) return Rational{};
   // The last Bareiss pivot is det of the scaled integer matrix; undo the
@@ -211,7 +211,7 @@ std::optional<RatMatrix> RatMatrix::solve(const RatMatrix& b,
   const std::size_t n = rows_;
   const std::size_t k = b.cols_;
   if (n == 0) return RatMatrix{0, k};
-  IntSystem sys = clear_denominators(*this, &b);
+  IntSystem sys = clear_denominators(*this, &b, deadline);
   if (!bareiss_eliminate(sys, deadline, nullptr)) return std::nullopt;
   // Back substitution on the integer triangle, back in Rational arithmetic.
   RatMatrix x{n, k};

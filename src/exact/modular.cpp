@@ -1,5 +1,6 @@
 #include "exact/modular.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -38,6 +39,10 @@ struct PhaseTimer {
 /// Hot-path metric handles, resolved once.  Constructed eagerly below so
 /// the whole family is present in `spiv-serve metrics` / --metrics-out
 /// output even before the first modular solve runs.
+/// The names predate the p-adic solve path and are kept for dashboards:
+/// for a solve, "prime_solve" times its one lucky factorisation mod p,
+/// "elim" denominator clearing, factorisation and lifting, "crt" the
+/// p-adic conversion, and "primes_used" counts p-adic digits.
 struct Metrics {
   obs::Histogram& prime_solve_seconds = obs::Registry::global().histogram(
       "spiv_modular_prime_solve_seconds");
@@ -119,87 +124,7 @@ bool is_prime_u64(std::uint64_t n) {
 
 // ------------------------------------------------------- per-prime kernel
 
-enum class PrimeStatus { Abandoned, Unlucky, Ok };
-
-struct PrimeSolve {
-  std::uint64_t prime = 0;
-  PrimeStatus status = PrimeStatus::Abandoned;
-  /// Plain (non-Montgomery) solution residues, row-major n x k, followed
-  /// by det(M) mod p (the Cramer common denominator, CRT-folded as one
-  /// extra entry).
-  std::vector<std::uint64_t> x;
-};
-
-/// Solve the integer system mod `out.prime` with dense Gaussian
-/// elimination in Montgomery form.  Never throws: an expired deadline
-/// leaves status == Abandoned (the caller re-checks and raises), a zero
-/// determinant mod p yields Unlucky.
-void solve_one_prime(const detail::IntSystem& sys, std::size_t n,
-                     std::size_t k, const Deadline& deadline,
-                     PrimeSolve& out) {
-  const auto t0 = Clock::now();
-  const Montgomery62 mont{out.prime};
-  const std::uint64_t p = out.prime;
-  const std::size_t w = n + k;
-  std::vector<std::uint64_t> t(n * w);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j)
-      t[i * w + j] = mont.to_mont(sys.m[i][j].mod_u64(p));
-    for (std::size_t c = 0; c < k; ++c)
-      t[i * w + n + c] = mont.to_mont(sys.rhs[i][c].mod_u64(p));
-  }
-  std::uint64_t det = mont.one();
-  bool negate = false;
-  for (std::size_t col = 0; col < n; ++col) {
-    if (deadline.expired()) return;  // status stays Abandoned
-    std::size_t pivot = n;
-    for (std::size_t r = col; r < n; ++r) {
-      if (t[r * w + col] != 0) {
-        pivot = r;
-        break;
-      }
-    }
-    if (pivot == n) {
-      out.status = PrimeStatus::Unlucky;  // det == 0 mod p
-      return;
-    }
-    if (pivot != col) {
-      std::swap_ranges(t.begin() + static_cast<std::ptrdiff_t>(pivot * w),
-                       t.begin() + static_cast<std::ptrdiff_t>((pivot + 1) * w),
-                       t.begin() + static_cast<std::ptrdiff_t>(col * w));
-      negate = !negate;
-    }
-    det = mont.mul(det, t[col * w + col]);
-    const std::uint64_t inv_pivot = mont.inv(t[col * w + col]);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const std::uint64_t lead = t[r * w + col];
-      if (lead == 0) continue;
-      const std::uint64_t f = mont.mul(lead, inv_pivot);
-      t[r * w + col] = 0;
-      for (std::size_t j = col + 1; j < w; ++j)
-        t[r * w + j] = mont.sub(t[r * w + j], mont.mul(f, t[col * w + j]));
-    }
-  }
-  // Back substitution; diagonal inverses are shared across RHS columns.
-  std::vector<std::uint64_t> dinv(n);
-  for (std::size_t i = 0; i < n; ++i) dinv[i] = mont.inv(t[i * w + i]);
-  out.x.assign(n * k + 1, 0);
-  det = mont.from_mont(det);
-  out.x[n * k] = negate ? p - det : det;  // det != 0: the prime is lucky
-  std::vector<std::uint64_t> xm(n);
-  for (std::size_t c = 0; c < k; ++c) {
-    for (std::size_t i = n; i-- > 0;) {
-      std::uint64_t acc = t[i * w + n + c];
-      for (std::size_t j = i + 1; j < n; ++j)
-        acc = mont.sub(acc, mont.mul(t[i * w + j], xm[j]));
-      xm[i] = mont.mul(acc, dinv[i]);
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      out.x[i * k + c] = mont.from_mont(xm[i]);
-  }
-  out.status = PrimeStatus::Ok;
-  metrics().prime_solve_seconds.observe(seconds_since(t0));
-}
+enum class PrimeStatus { Abandoned, Ok };
 
 struct PrimeDet {
   std::uint64_t prime = 0;
@@ -384,6 +309,45 @@ void crt_fold_batch(std::vector<BigInt>& xs, BigInt& m,
   m *= plan.group;
 }
 
+void padic_fold(std::vector<BigInt>& xs, BigInt& m,
+                const std::uint64_t* digits, std::size_t count,
+                std::uint64_t p, std::size_t jobs) {
+  if (count == 0) return;
+  const std::size_t entries = xs.size();
+  const BigInt pb{static_cast<std::int64_t>(p)};
+  // pows[l] = p^(2^l), the weight of the hi half when level-l blocks of
+  // 2^l digits merge pairwise.
+  std::vector<BigInt> pows{pb};
+  while ((std::size_t{1} << pows.size()) < count)
+    pows.push_back(pows.back() * pows.back());
+  core::for_each_block(
+      entries, jobs,
+      [&](std::size_t b0, std::size_t b1, const CancelToken& /*token*/) {
+        std::vector<BigInt> vals(count);
+        for (std::size_t e = b0; e < b1; ++e) {
+          for (std::size_t i = 0; i < count; ++i)
+            vals[i] = BigInt{static_cast<std::int64_t>(digits[i * entries + e])};
+          // Left-aligned pairing: every lo block is a full 2^l digits, only
+          // the last block of a level can be short, and an odd tail passes
+          // through to the next level.
+          std::size_t live = count;
+          for (std::size_t level = 0; live > 1; ++level) {
+            std::size_t out = 0;
+            std::size_t i = 0;
+            for (; i + 1 < live; i += 2) {
+              if (!vals[i + 1].is_zero()) vals[i] += pows[level] * vals[i + 1];
+              if (out != i) vals[out] = std::move(vals[i]);
+              ++out;
+            }
+            if (i < live) vals[out++] = std::move(vals[i]);
+            live = out;
+          }
+          if (!vals[0].is_zero()) xs[e] += m * vals[0];
+        }
+      });
+  m *= pb.pow(static_cast<unsigned>(count));
+}
+
 }  // namespace detail
 
 // --------------------------------------------------------------- montgomery
@@ -432,6 +396,226 @@ std::uint64_t modular_prime(std::size_t index) {
   return primes[index];
 }
 
+// ------------------------------------------------------------ dixon lift
+
+namespace {
+
+/// a -= v·y (mod 2^(64w)) on w-word two's-complement values, y < 2^62:
+/// the unsigned product of v's bit pattern, truncated to w words, is v·y
+/// modulo 2^(64w).
+inline void sub_mul_words(std::uint64_t* a, const std::uint64_t* v,
+                          std::uint64_t y, std::size_t w) {
+  std::uint64_t carry = 0;   // high word of the running product
+  std::uint64_t borrow = 0;  // of the running subtraction
+  for (std::size_t i = 0; i < w; ++i) {
+    const unsigned __int128 prod =
+        static_cast<unsigned __int128>(v[i]) * y + carry;
+    const auto lo = static_cast<std::uint64_t>(prod);
+    carry = static_cast<std::uint64_t>(prod >> 64);
+    const std::uint64_t t = a[i] - lo;
+    const std::uint64_t b1 = a[i] < lo;
+    a[i] = t - borrow;
+    borrow = b1 | (t < borrow);
+  }
+}
+
+/// a <- a·p^{-1} mod 2^(64w): Hensel (right-to-left) division, one
+/// multiply by p^{-1} mod 2^64 per word, as in GMP's mpn_divexact_1.  When
+/// p divides the true value and the quotient fits in w signed words, that
+/// is the exact quotient, whatever the true value's own width.
+inline void divexact_words(std::uint64_t* a, std::size_t w, std::uint64_t p,
+                           std::uint64_t p_inv) {
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < w; ++i) {
+    const std::uint64_t s = a[i] - carry;
+    const std::uint64_t b = a[i] < carry;
+    const std::uint64_t q = s * p_inv;
+    a[i] = q;
+    carry = static_cast<std::uint64_t>(
+                (static_cast<unsigned __int128>(q) * p) >> 64) + b;
+  }
+}
+
+/// v as a w-word two's-complement value (|v| < 2^(64w - 1)).
+void to_words(const BigInt& v, std::uint64_t* out, std::size_t w) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 32;
+  BigInt mag = v.abs();
+  for (std::size_t i = 0; i < w; ++i) {
+    const std::uint64_t lo = mag.mod_u64(kHalf);
+    mag = mag.shifted_right(32);
+    const std::uint64_t hi = mag.mod_u64(kHalf);
+    mag = mag.shifted_right(32);
+    out[i] = lo | hi << 32;
+  }
+  if (!v.is_negative()) return;
+  std::uint64_t carry = 1;
+  for (std::size_t i = 0; i < w; ++i) {
+    out[i] = ~out[i] + carry;
+    carry &= static_cast<std::uint64_t>(out[i] == 0);
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+DixonLift::DixonLift(std::uint64_t p, std::size_t n, std::size_t k)
+    : mont_{p}, n_{n}, k_{k}, width_{n * k} {}
+
+std::optional<DixonLift> DixonLift::start(const IntSystem& sys,
+                                          const Deadline& deadline,
+                                          std::uint64_t& unlucky) {
+  const std::size_t n = sys.m.size();
+  const std::size_t k = n == 0 ? 0 : sys.rhs.front().size();
+  unlucky = 0;
+  std::size_t unlucky_bits = 0;  // log2 lower bound of their product
+  for (std::size_t index = 0;; ++index) {
+    // Every unlucky prime divides det(M), and so does their product.  Once
+    // that product exceeds the Hadamard bound on |det(M)|, det(M) == 0:
+    // the system is proven singular.  A nonsingular system never clears
+    // this bar: its unlucky primes multiply to a divisor of det(M) != 0.
+    if (unlucky_bits >= sys.det_bound_bits) return std::nullopt;
+    const auto t0 = Clock::now();
+    DixonLift lift{modular_prime(index), n, k};
+    if (lift.factorise(sys, deadline)) {
+      metrics().prime_solve_seconds.observe(seconds_since(t0));
+      lift.load(sys);
+      return lift;
+    }
+    ++unlucky;
+    unlucky_bits += static_cast<std::size_t>(std::bit_width(lift.prime())) - 1;
+  }
+}
+
+bool DixonLift::factorise(const IntSystem& sys, const Deadline& deadline) {
+  const std::size_t n = n_;
+  const Montgomery62& mont = mont_;
+  const std::uint64_t p = mont.modulus();
+  lu_.assign(n * n, 0);
+  std::uint64_t* const t = lu_.data();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (!sys.m[i][j].is_zero())
+        t[i * n + j] = mont.to_mont(sys.m[i][j].mod_u64(p));
+  swaps_.assign(n, 0);
+  // Row-swapping LU in place (LAPACK getrf layout): U on and above the
+  // diagonal, L's multipliers below it, rows of both swapped together.
+  for (std::size_t col = 0; col < n; ++col) {
+    deadline.check();
+    std::size_t pivot = col;
+    while (pivot < n && t[pivot * n + col] == 0) ++pivot;
+    if (pivot == n) return false;  // det(M) == 0 mod p
+    swaps_[col] = pivot;
+    if (pivot != col)
+      std::swap_ranges(t + pivot * n, t + (pivot + 1) * n, t + col * n);
+    const std::uint64_t inv_pivot = mont.inv(t[col * n + col]);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const std::uint64_t lead = t[r * n + col];
+      if (lead == 0) continue;
+      const std::uint64_t f = mont.mul(lead, inv_pivot);
+      t[r * n + col] = f;
+      for (std::size_t j = col + 1; j < n; ++j)
+        t[r * n + j] = mont.sub(t[r * n + j], mont.mul(f, t[col * n + j]));
+    }
+  }
+  dinv_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) dinv_[i] = mont.inv(t[i * n + i]);
+  return true;
+}
+
+void DixonLift::load(const IntSystem& sys) {
+  const std::size_t n = n_;
+  const std::size_t k = k_;
+  const std::uint64_t p = mont_.modulus();
+  // With B = max(|R|, max row 1-norm of M), |R_L| <= B for every L:
+  // |R_{L+1}| <= (B + B(p-1)) / p.  A step computes R_L - M·Y_L modulo
+  // 2^(64·words_), where it may wrap, and divides by the odd p there; the
+  // quotient is exact as long as R_{L+1} itself fits words_ signed words.
+  BigInt bound{0};
+  for (std::size_t i = 0; i < n; ++i) {
+    BigInt norm{0};
+    for (const BigInt& v : sys.m[i])
+      if (!v.is_zero()) norm += v.abs();
+    if (norm > bound) bound = std::move(norm);
+    for (const BigInt& v : sys.rhs[i])
+      if (v.abs() > bound) bound = v.abs();
+  }
+  const std::size_t w = (bound.bit_length() + 1 + 63) / 64;  // + sign bit
+  words_ = w;
+  row_start_.assign(1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (sys.m[i][j].is_zero()) continue;
+      cols_.push_back(j);
+      vals_.resize(vals_.size() + w);
+      to_words(sys.m[i][j], vals_.data() + vals_.size() - w, w);
+    }
+    row_start_.push_back(cols_.size());
+  }
+  res_.assign(n * k * w, 0);
+  res_mod_.resize(n * k);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < k; ++c) {
+      to_words(sys.rhs[i][c], res_.data() + (i * k + c) * w, w);
+      res_mod_[i * k + c] = sys.rhs[i][c].mod_u64(p);
+    }
+  // Newton–Hensel, as in Montgomery62: six doublings from 3 correct bits.
+  p_inv_ = p;
+  for (int i = 0; i < 6; ++i) p_inv_ *= 2 - p * p_inv_;
+  wrap_mod_ = 1;
+  for (std::size_t i = 0; i < w; ++i)
+    wrap_mod_ = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(wrap_mod_) << 64) % p);
+}
+
+std::uint64_t DixonLift::words_mod(const std::uint64_t* a) const {
+  const std::uint64_t p = mont_.modulus();
+  std::uint64_t r = 0;
+  for (std::size_t i = words_; i-- > 0;)
+    r = static_cast<std::uint64_t>(
+        ((static_cast<unsigned __int128>(r) << 64) | a[i]) % p);
+  if (a[words_ - 1] >> 63)  // negative: the words read a + 2^(64·words_)
+    r = r >= wrap_mod_ ? r - wrap_mod_ : r + (p - wrap_mod_);
+  return r;
+}
+
+void DixonLift::step() {
+  const std::size_t n = n_;
+  const std::size_t k = k_;
+  const std::size_t w = words_;
+  const std::uint64_t p = mont_.modulus();
+  digits_.resize(digits_.size() + width_);
+  std::uint64_t* y = digits_.data() + lifted_++ * width_;
+  // Y = M^{-1} (R mod p) through the LU factors.  Vectors stay plain
+  // residues: a Montgomery product of a Montgomery-form factor entry and a
+  // plain value is the plain product.
+  std::vector<std::uint64_t> z(n);
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t i = 0; i < n; ++i) z[i] = res_mod_[i * k + c];
+    for (std::size_t col = 0; col < n; ++col)
+      if (swaps_[col] != col) std::swap(z[col], z[swaps_[col]]);
+    for (std::size_t i = 1; i < n; ++i)
+      z[i] = mont_.sub(z[i], mont_.dot(&lu_[i * n], z.data(), i));
+    for (std::size_t i = n; i-- > 0;) {
+      const std::uint64_t acc = mont_.sub(
+          z[i], mont_.dot(&lu_[i * n + i + 1], &z[i + 1], n - i - 1));
+      z[i] = mont_.mul(acc, dinv_[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) y[i * k + c] = z[i];
+  }
+  // R <- (R - M·Y) / p, an exact division since M·Y == R (mod p).
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < k; ++c) {
+      std::uint64_t* r = res_.data() + (i * k + c) * w;
+      for (std::size_t t = row_start_[i]; t < row_start_[i + 1]; ++t)
+        sub_mul_words(r, vals_.data() + t * w, y[cols_[t] * k + c], w);
+      divexact_words(r, w, p, p_inv_);
+      res_mod_[i * k + c] = words_mod(r);
+    }
+}
+
+}  // namespace detail
+
 // ---------------------------------------------------------- reconstruction
 
 std::optional<Rational> rational_reconstruct(const BigInt& u, const BigInt& m,
@@ -440,13 +624,60 @@ std::optional<Rational> rational_reconstruct(const BigInt& u, const BigInt& m,
   // r_i == t_i * u (mod m); stop at the first remainder <= bound (Wang).
   BigInt r0 = m, r1 = u;
   BigInt t0{0}, t1{1};
+  // Lehmer acceleration, as in BigInt::gcd (Knuth 4.5.2, Algorithm L): a
+  // round runs Euclid on the leading kWindow bits, keeps only quotients
+  // both bracketing estimates agree on, and applies the cofactor matrix
+  // [[A, B], [C, D]] to (r0, r1) and (t0, t1) at once.  Since
+  // r0 = |D|·r0' + |B|·r1' with |B|, |D| < kCofactorCap, a round leaves
+  // r0' > r0 / 2^32; rounds only run while r0 is 64 bits above the bound,
+  // so every remainder a round steps over exceeds the bound and the first
+  // one at or below it is still found by the single steps below.
+  constexpr std::size_t kWindow = 62;
+  constexpr std::int64_t kCofactorCap = std::int64_t{1} << 31;
+  const std::size_t lehmer_floor = bound.bit_length() + 64;
   while (r1 > bound) {
-    auto [q, r2] = BigInt::div_mod(r0, r1);
-    r0 = std::move(r1);
-    r1 = std::move(r2);
-    BigInt t2 = t0 - q * t1;
-    t0 = std::move(t1);
-    t1 = std::move(t2);
+    std::int64_t ca = 1, cb = 0, cc = 0, cd = 1;  // A, B, C, D
+    if (r0.bit_length() > lehmer_floor) {
+      const std::size_t shift = r0.bit_length() - kWindow;
+      std::int64_t uh = r0.shifted_right(shift).to_int64();
+      std::int64_t vh = r1.shifted_right(shift).to_int64();
+      for (;;) {
+        const std::int64_t vc = vh + cc;
+        const std::int64_t vd = vh + cd;
+        if (vc <= 0 || vd <= 0 || uh + ca < 0 || uh + cb < 0) break;
+        const std::int64_t q = (uh + ca) / vc;
+        if (q <= 0 || q >= kCofactorCap || q != (uh + cb) / vd) break;
+        const std::int64_t nc = ca - q * cc;
+        const std::int64_t nd = cb - q * cd;
+        if (nc <= -kCofactorCap || nc >= kCofactorCap ||
+            nd <= -kCofactorCap || nd >= kCofactorCap)
+          break;
+        ca = cc;
+        cb = cd;
+        cc = nc;
+        cd = nd;
+        const std::int64_t nv = uh - q * vh;
+        uh = vh;
+        vh = nv;
+      }
+    }
+    if (cb == 0) {
+      // No quotient accepted (or r0 too close to the bound): one step.
+      auto [q, r2] = BigInt::div_mod(r0, r1);
+      r0 = std::move(r1);
+      r1 = std::move(r2);
+      BigInt t2 = t0 - q * t1;
+      t0 = std::move(t1);
+      t1 = std::move(t2);
+      continue;
+    }
+    const BigInt a{ca}, b{cb}, c{cc}, d{cd};
+    BigInt r0n = r0 * a + r1 * b;
+    r1 = r0 * c + r1 * d;
+    r0 = std::move(r0n);
+    BigInt t0n = t0 * a + t1 * b;
+    t1 = t0 * c + t1 * d;
+    t0 = std::move(t0n);
   }
   if (t1.is_zero()) return std::nullopt;
   BigInt num = std::move(r1);
@@ -463,33 +694,6 @@ std::optional<Rational> rational_reconstruct(const BigInt& u, const BigInt& m,
 // ------------------------------------------------------------------ solve
 
 namespace {
-
-/// Cached reconstruction candidate for one solution entry.  Entries whose
-/// denominators are small reconstruct at early checkpoints; afterwards
-/// each new prime only costs the word-mod congruence recheck in
-/// revalidate_candidates, never another Euclid pass.
-struct EntryCand {
-  Rational value;
-  bool valid = false;
-};
-
-/// Drop a cached candidate that disagrees with a freshly folded prime: a
-/// surviving candidate satisfies num == den * x (mod old m) and (mod p)
-/// for each new p, hence (mod current m) by CRT — with unchanged Wang
-/// bounds and gcd 1 it is *the* unique reconstruction at the current
-/// modulus, no Euclid needed.
-void revalidate_candidate(EntryCand& c, const BigInt& xe,
-                          const std::vector<std::uint64_t>& fresh_primes) {
-  if (!c.valid) return;
-  for (std::uint64_t p : fresh_primes) {
-    const std::uint64_t num_p = c.value.num().mod_u64(p);
-    const std::uint64_t den_p = c.value.den().mod_u64(p);
-    if (num_p != mulmod_u64(den_p, xe.mod_u64(p), p)) {
-      c.valid = false;
-      return;
-    }
-  }
-}
 
 /// lcm(d, den) with a cheap divisibility pre-check: on the fast path every
 /// denominator divides det(M), so after the first entry the remainder test
@@ -513,20 +717,20 @@ struct RecCounts {
 };
 
 /// How reconstruct_entry filled (or failed to fill) an entry.
-enum class EntryRoute { Cached, SharedDen, Euclid, Failed };
+enum class EntryRoute { SharedDen, Euclid, Failed };
 
-/// Fill one entry's candidate at modulus m, unless a cached one survived.
-/// First via the shared denominator d — by Cramer all true denominators
-/// divide det(M), so x_e * d mod m lifted to the balanced range usually IS
-/// the numerator times a cofactor of d: one mulmod + gcd instead of an
-/// extended-Euclid pass — then by Euclid when that misses.  Both routes
-/// can only produce the unique Wang reconstruction, so which one serves an
+/// Reconstruct one entry at modulus m.  First via the shared denominator
+/// d — by Cramer all true denominators divide det(M), so x_e * d mod m
+/// lifted to the balanced range usually IS the numerator times a cofactor
+/// of d: one mulmod + gcd instead of an extended-Euclid pass — then by
+/// Euclid when that misses.  Every route only returns a value n/q with
+/// |n|, q <= bound and n == x_e·q (mod m), which is unique (two such
+/// fractions differ by less than m/|q q'|), so which route serves an
 /// entry never changes its value.  Failed means the entry has no
-/// reconstruction at this modulus (fold more primes).
-EntryRoute reconstruct_entry(EntryCand& c, const BigInt& xe, const BigInt& d,
+/// reconstruction at this modulus (lift more digits).
+EntryRoute reconstruct_entry(Rational& out, const BigInt& xe, const BigInt& d,
                              const BigInt& m, const BigInt& bound,
                              RecCounts& n) {
-  if (c.valid) return EntryRoute::Cached;
   if (!d.is_one()) {
     BigInt w = xe * d % m;
     if (w + w > m) w -= m;  // balanced lift: w in (-m/2, m/2]
@@ -535,18 +739,31 @@ EntryRoute reconstruct_entry(EntryCand& c, const BigInt& xe, const BigInt& d,
     BigInt den = d / g;
     if (num.abs() <= bound && den <= bound) {
       // den > 0 and gcd(num, den) == 1 by construction.
-      c.value = Rational::from_lowest_terms(std::move(num), std::move(den));
-      c.valid = true;
+      out = Rational::from_lowest_terms(std::move(num), std::move(den));
       ++n.hits;
       return EntryRoute::SharedDen;
     }
     ++n.misses;
+    // x_e·d still has a denominator d' that d lacks.  Euclid on w stops
+    // after about bits(d') steps rather than bits(x_e's denominator), and
+    // once d divides det(M) (at the full budget) the numerator of x_e·d is
+    // a Cramer numerator, so it is within the bound.  The candidate is
+    // accepted only after the congruence check that makes it unique.
+    ++n.euclid;
+    if (w.is_negative()) w += m;
+    if (auto part = rational_reconstruct(w, m, bound)) {
+      Rational cand{part->num(), part->den() * d};
+      if (cand.num().abs() <= bound && cand.den() <= bound &&
+          ((cand.num() - xe * cand.den()) % m).is_zero()) {
+        out = std::move(cand);
+        return EntryRoute::Euclid;
+      }
+    }
   }
   ++n.euclid;
   auto entry = rational_reconstruct(xe, m, bound);
   if (!entry) return EntryRoute::Failed;
-  c.value = std::move(*entry);
-  c.valid = true;
+  out = std::move(*entry);
   return EntryRoute::Euclid;
 }
 
@@ -554,8 +771,8 @@ EntryRoute reconstruct_entry(EntryCand& c, const BigInt& xe, const BigInt& d,
 /// running lcm as settled and fans the remaining entries out.
 constexpr std::size_t kSettledHits = 4;
 
-/// Lucky primes folded before the first trial reconstruction; the schedule
-/// doubles from there.
+/// P-adic digits lifted before the first trial reconstruction; the
+/// schedule doubles from there.
 constexpr std::size_t kFirstCheckpoint = 4;
 
 }  // namespace
@@ -571,28 +788,24 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
   if (n == 0) return RatMatrix{0, k};
   metrics().solves.add();
   deadline.check();
-  const detail::IntSystem sys = detail::clear_denominators(a, &b);
-  const std::size_t budget_bits = sys.solve_budget_bits;
+  double elim_s = 0, crt_s = 0, rec_s = 0, ver_s = 0;
+  // The elimination phase covers everything up to the digits: clearing
+  // denominators, the factorisation, the digit budget and the lifting.
+  const detail::IntSystem sys = [&] {
+    PhaseTimer timer{elim_s};
+    return detail::clear_denominators(a, &b, deadline);
+  }();
   const std::size_t jobs = core::resolve_jobs(options.jobs);
-  const std::size_t batch = std::max<std::size_t>(jobs, 8);
-  std::size_t checkpoint = kFirstCheckpoint;
-
   const std::size_t entries = n * k;
-  // CRT images of the solution entries, then of det(M).
-  std::vector<BigInt> xs(entries + 1);
-  BigInt m{1};
-  std::size_t prime_index = 0;
-  std::uint64_t primes_used = 0;
+
+  std::optional<detail::DixonLift> lift;
   std::uint64_t unlucky = 0;
-  std::size_t unlucky_bits = 0;  // log2 lower bound of their product
   std::uint64_t attempts = 0;
   RecCounts counts;
-  std::vector<EntryCand> cands(entries);
-  std::vector<std::uint64_t> fresh_primes;  // folded since the last attempt
-  double elim_s = 0, crt_s = 0, rec_s = 0, ver_s = 0;
 
   auto finish = [&](bool early, std::optional<RatMatrix> result) {
-    metrics().primes_used.add(primes_used);
+    const std::uint64_t digits = lift ? lift->digits() : 0;
+    metrics().primes_used.add(digits);
     metrics().unlucky_primes.add(unlucky);
     if (early && result) metrics().early_exits.add();
     metrics().elim_seconds.observe(elim_s);
@@ -601,7 +814,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     metrics().verify_seconds.observe(ver_s);
     if (options.stats) {
       ModularStats s;
-      s.primes_used = primes_used;
+      s.primes_used = digits;
       s.unlucky_primes = unlucky;
       s.early_exit = early && result.has_value();
       s.attempts = attempts;
@@ -617,57 +830,53 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     return result;
   };
 
-  // Output-sensitive trial reconstruction.  Revalidates cached candidates
-  // against the primes folded since the last attempt (word mods only),
-  // then fills the gaps with reconstruct_entry.  The driver
-  // walks entries in order, growing the shared denominator D (or starting
-  // from det(M), see below), until kSettledHits entries in a row hit
-  // the fast path with the current D; the rest then fan out over entry
-  // blocks, each block extending its own copy of D with whatever its
-  // Euclid fallbacks find.  Fanning out before D settles would send most
-  // entries to Euclid.  A failing entry stops the pass (the driver at
-  // once, workers at their next entry), so a failing checkpoint attempt
-  // costs about one Euclid run.
+  std::size_t budget_digits = 0;
+  {
+    obs::Span span{"modular-elim"};
+    PhaseTimer timer{elim_s};
+    lift = detail::DixonLift::start(sys, deadline, unlucky);
+    // Digits for p^L to reach the Hadamard budget, where reconstruction is
+    // guaranteed to succeed.
+    if (lift) {
+      const BigInt p{static_cast<std::int64_t>(lift->prime())};
+      for (BigInt pw{1}; pw.bit_length() < sys.solve_budget_bits;
+           ++budget_digits)
+        pw *= p;
+    }
+  }
+  if (!lift) return finish(false, std::nullopt);  // proven singular
+  const std::uint64_t p = lift->prime();
+
+  // xs[e] == X_e (mod m), m == p^converted.
+  std::vector<BigInt> xs(entries);
+  BigInt m{1};
+  std::size_t converted = 0;
+
+  // Trial reconstruction at the current modulus.  The driver walks entries
+  // in order, growing the shared denominator D, until kSettledHits entries
+  // in a row hit the fast path with the current D; the rest then fan out
+  // over entry blocks, each block extending its own copy of D with
+  // whatever its Euclid fallbacks find.  Fanning out before D settles
+  // would send most entries to Euclid.  A failing entry stops the pass
+  // (the driver at once, workers at their next entry), so a failing
+  // checkpoint attempt costs about one Euclid run.
   auto attempt = [&]() -> std::optional<RatMatrix> {
     obs::Span span{"modular-reconstruct"};
     PhaseTimer timer{rec_s};
     ++attempts;
-    for (std::size_t e = 0; e < entries; ++e)
-      revalidate_candidate(cands[e], xs[e], fresh_primes);
-    fresh_primes.clear();
     deadline.check();
     const BigInt bound = isqrt((m - BigInt{1}) / BigInt{2});
-    // Seed D with det(M), a multiple of every denominator (Cramer), once
-    // its balanced CRT image is far below m: a wrong image is uniform in
-    // (-m/2, m/2], so one 64 bits short of m is exact but for a 2^-64
-    // chance.  With that seed x_e * D is the Cramer numerator itself
-    // whenever that is below m/2 — always at the full budget.  When the
-    // seed misses (a Cramer numerator still beyond m/2), the first Euclid
-    // result replaces it and D grows from the entries instead.
+    std::vector<Rational> vals(entries);
     BigInt d_shared{1};
-    bool det_seeded = false;
-    BigInt det = xs[entries];
-    if (det + det > m) det -= m;
-    if (!det.is_zero() && det.bit_length() + 64 < m.bit_length()) {
-      d_shared = det.abs();
-      det_seeded = true;
-    }
     std::size_t e = 0;
     for (std::size_t run = 0; e < entries && run < kSettledHits; ++e) {
       deadline.check();
-      switch (reconstruct_entry(cands[e], xs[e], d_shared, m, bound, counts)) {
-        case EntryRoute::Failed: return std::nullopt;  // fold more primes
-        case EntryRoute::Euclid:
-          run = 0;
-          if (det_seeded) {
-            d_shared = 1;
-            det_seeded = false;
-          }
-          break;
+      switch (reconstruct_entry(vals[e], xs[e], d_shared, m, bound, counts)) {
+        case EntryRoute::Failed: return std::nullopt;  // lift more digits
+        case EntryRoute::Euclid: run = 0; break;
         case EntryRoute::SharedDen: ++run; break;
-        case EntryRoute::Cached: break;
       }
-      fold_lcm(d_shared, cands[e].value.den());
+      fold_lcm(d_shared, vals[e].den());
     }
     std::atomic<bool> failed{false};
     std::atomic<bool> abandoned{false};
@@ -683,18 +892,19 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
               abandoned.store(true, std::memory_order_relaxed);
               break;
             }
-            if (reconstruct_entry(cands[i], xs[i], d, m, bound, counts) ==
+            if (reconstruct_entry(vals[i], xs[i], d, m, bound, counts) ==
                 EntryRoute::Failed) {
               failed.store(true, std::memory_order_relaxed);
               break;
             }
-            fold_lcm(d, cands[i].value.den());
+            fold_lcm(d, vals[i].den());
           }
         });
     if (abandoned.load()) deadline.check();
     if (failed.load()) return std::nullopt;
     RatMatrix x{n, k};
-    for (std::size_t i = 0; i < entries; ++i) x(i / k, i % k) = cands[i].value;
+    for (std::size_t i = 0; i < entries; ++i)
+      x(i / k, i % k) = std::move(vals[i]);
     return x;
   };
 
@@ -742,65 +952,30 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     return ok.load();
   };
 
-  while (m.bit_length() < budget_bits) {
-    deadline.check();
-    // Every unlucky prime divides det(M), and so does their product.  Once
-    // that product exceeds the Hadamard bound on |det(M)|, det(M) == 0:
-    // the system is proven singular.  A nonsingular system never clears
-    // this bar: its unlucky primes multiply to a divisor of det(M) != 0.
-    if (unlucky_bits >= sys.det_bound_bits) return finish(false, std::nullopt);
-    std::vector<PrimeSolve> results(batch);
-    for (std::size_t i = 0; i < batch; ++i)
-      results[i].prime = modular_prime(prime_index++);
+  for (std::size_t checkpoint = kFirstCheckpoint;; checkpoint *= 2) {
     {
       obs::Span span{"modular-elim"};
       PhaseTimer timer{elim_s};
-      core::for_each_job(batch, jobs,
-                         [&](std::size_t i, const CancelToken& /*token*/) {
-                           solve_one_prime(sys, n, k, deadline, results[i]);
-                         });
-    }
-    deadline.check();
-    // Lucky primes in prime order, truncated where the running modulus
-    // meets the budget — the folded sequence (hence every xs[e], hence the
-    // result) is independent of jobs and batch size.
-    std::vector<std::uint64_t> fold_primes;
-    std::vector<const std::uint64_t*> fold_residues;
-    BigInt m_run = m;
-    for (const PrimeSolve& r : results) {
-      if (r.status == PrimeStatus::Unlucky) {
-        ++unlucky;
-        unlucky_bits += static_cast<std::size_t>(std::bit_width(r.prime)) - 1;
-        continue;
+      while (lift->digits() < std::min(checkpoint, budget_digits)) {
+        deadline.check();
+        lift->step();
       }
-      if (r.status != PrimeStatus::Ok) continue;  // abandoned: deadline
-      if (m_run.bit_length() >= budget_bits) break;  // budget already met
-      fold_primes.push_back(r.prime);
-      fold_residues.push_back(r.x.data());
-      m_run *= BigInt{static_cast<std::int64_t>(r.prime)};
     }
     {
       obs::Span span{"modular-crt"};
       PhaseTimer timer{crt_s};
-      detail::crt_fold_batch(xs, m, fold_residues, fold_primes, jobs);
+      detail::padic_fold(xs, m, lift->digit(converted),
+                         lift->digits() - converted, p, jobs);
+      converted = lift->digits();
     }
-    primes_used += fold_primes.size();
-    fresh_primes.insert(fresh_primes.end(), fold_primes.begin(),
-                        fold_primes.end());
-    if (primes_used >= checkpoint && m.bit_length() < budget_bits) {
-      checkpoint = primes_used * 2;
-      if (auto x = attempt()) {
-        if (verify_solution(*x)) return finish(true, std::move(x));
-        // A spurious candidate survived the congruence checks; none of the
-        // caches can be trusted until more primes arrive.
-        for (EntryCand& c : cands) c.valid = false;
-      }
-    }
+    if (converted >= budget_digits) break;
+    if (auto x = attempt(); x && verify_solution(*x))
+      return finish(true, std::move(x));
   }
-  // Full Hadamard budget reached with at least one lucky prime, so det(M)
-  // != 0 and Cramer's rule bounds every numerator and denominator below the
-  // balanced reconstruction bound: every route of reconstruct_entry yields
-  // the unique true solution.  A failure here is a bug, not an input.
+  // Full Hadamard budget reached and det(M) != 0 (p is lucky), so Cramer's
+  // rule bounds every numerator and denominator below the balanced
+  // reconstruction bound: every route of reconstruct_entry yields the
+  // unique true solution.  A failure here is a bug, not an input.
   auto x = attempt();
   if (!x || !verify_solution(*x))
     throw std::logic_error(
@@ -818,7 +993,8 @@ Rational determinant_modular(const RatMatrix& mat, const Deadline& deadline,
   const std::size_t n = mat.rows();
   if (n == 0) return Rational{1};
   deadline.check();
-  const detail::IntSystem sys = detail::clear_denominators(mat, nullptr);
+  const detail::IntSystem sys =
+      detail::clear_denominators(mat, nullptr, deadline);
   const std::size_t budget_bits = sys.det_bound_bits + 2;
   const std::size_t jobs = core::resolve_jobs(options.jobs);
   const std::size_t batch = std::max<std::size_t>(jobs, 8);

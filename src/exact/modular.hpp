@@ -1,28 +1,28 @@
-// spiv::exact — multi-modular exact linear algebra.
+// spiv::exact — multi-modular and p-adic exact linear algebra.
 //
 // The paper's eq-smt method (§VI-B1) solves the Lyapunov equation in exact
 // rational arithmetic; fraction-free Bareiss over ever-growing BigInt
 // entries is its dominant cost (Table I: 0.56 s at size 5, timeout at 10+).
-// This module replaces that with the standard fast path of exact linear
-// algebra: solve the (denominator-cleared) integer system modulo many
-// ~62-bit primes with machine-word Gaussian elimination, combine the
-// residues by CRT, and recover the rational solution by Wang-style rational
-// reconstruction.  A Hadamard bound caps the prime budget; trial
-// reconstruction at doubling checkpoints exits far earlier on typical
-// inputs, and an exact A·X = B recheck makes the early exit sound.
+// This module replaces that with the standard fast paths of exact linear
+// algebra.
 //
-// Per-prime solves are independent, so they fan out over core::JobPool.
-// Residues are CRT-folded in prime-order batches through a balanced
-// product tree, parallelised over solution-entry blocks (each entry's CRT
-// image is a pure function of the residue sequence, so any SPIV_JOBS gives
-// bit-identical results).  Reconstruction is output-sensitive: entries
-// whose denominators are small lock in at early checkpoints and are only
-// revalidated with one word-mod per new prime afterwards, and a shared
-// denominator (every denominator divides det(M) by Cramer; det(M) itself
-// rides along the CRT as one extra entry) turns most per-entry
-// reconstructions into a single mulmod + gcd instead of a full
-// extended-Euclid pass.  Once that denominator has settled, the per-entry
-// pass fans out over entry blocks too.
+// Linear solves use Dixon p-adic lifting (Dixon 1982, Numer. Math. 40; as
+// in IML, Chen–Storjohann ISSAC 2005): the (denominator-cleared) integer
+// system M X = R is factorised once modulo one ~62-bit prime p, and each
+// lifting step then costs one O(N²k) triangular solve mod p plus one sparse
+// integer residual update, yielding the next p-adic digit of X.  At
+// doubling checkpoints the digits are converted to X mod p^L through a
+// balanced product tree (entry blocks fan out over core::JobPool) and
+// Wang-style rational reconstruction is tried; a Hadamard bound caps L,
+// and an exact A·X = B recheck makes the early exit sound.  A shared
+// denominator (every denominator divides det(M) by Cramer) turns most
+// per-entry reconstructions into a single mulmod + gcd instead of an
+// extended-Euclid pass; once it has settled, the per-entry pass fans out
+// over entry blocks too.  Every step is a pure function of the input, so
+// any SPIV_JOBS gives bit-identical results.
+//
+// Determinants (the charpoly engine) still run per-prime elimination and
+// a CRT fold through a balanced product tree, to the full Hadamard budget.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,9 @@ namespace spiv::exact {
 
 /// Per-solve statistics (also mirrored into the obs registry).
 struct ModularStats {
-  std::uint64_t primes_used = 0;     ///< lucky primes folded into the CRT
+  /// p-adic digits lifted (solves) or lucky primes folded into the CRT
+  /// (determinants).
+  std::uint64_t primes_used = 0;
   std::uint64_t unlucky_primes = 0;  ///< det == 0 mod p, skipped
   bool early_exit = false;  ///< reconstruction succeeded below the bound
   // Inside reconstruction (where the exact solve spends most of its time).
@@ -47,10 +49,13 @@ struct ModularStats {
   /// the reconstructed value cannot.
   std::uint64_t shared_den_hits = 0;
   std::uint64_t shared_den_misses = 0;
-  // Per-phase wall-clock split of this solve (driver-attributed seconds;
-  // the elimination phase is the parallel fan-out's wall time, not the
-  // summed worker time).  The same split feeds the spiv_modular_elim /
-  // crt / reconstruct / verify histograms and BENCH_exact_solvers.json.
+  // Per-phase wall-clock split of this solve (driver-attributed seconds,
+  // wall time of any fan-out, not summed worker time).  For a solve,
+  // "elim" is denominator clearing, the factorisation mod p and the
+  // lifting steps, and "crt" the p-adic -> integer conversion; for a
+  // determinant they are the per-prime eliminations and the CRT fold.  The same split feeds the
+  // spiv_modular_elim / crt / reconstruct / verify histograms and
+  // BENCH_exact_solvers.json.
   double elim_seconds = 0;
   double crt_seconds = 0;
   double reconstruct_seconds = 0;
@@ -58,8 +63,9 @@ struct ModularStats {
 };
 
 struct ModularOptions {
-  /// Worker threads for the per-prime fan-out, the entry-block CRT fold,
-  /// and the A·X == B recheck: 0 = $SPIV_JOBS (else hardware_concurrency),
+  /// Worker threads for the entry-block p-adic conversion and
+  /// reconstruction, the A·X == B recheck, and the determinant's per-prime
+  /// fan-out and CRT fold: 0 = $SPIV_JOBS (else hardware_concurrency),
   /// 1 = serial on the calling thread.  Results are identical for any
   /// value.
   std::size_t jobs = 0;
@@ -67,11 +73,13 @@ struct ModularOptions {
 };
 
 /// The i-th prime of the deterministic, descending sequence of ~62-bit
-/// primes every multi-modular solve draws from (exposed so tests can build
-/// "unlucky prime" instances whose determinant vanishes mod a known prime).
+/// primes every modular solve draws from: a solve factorises modulo the
+/// first one that is lucky, a determinant folds them all in order (exposed
+/// so tests can build "unlucky prime" instances whose determinant vanishes
+/// mod a known prime).
 [[nodiscard]] std::uint64_t modular_prime(std::size_t index);
 
-/// Exact solve A X = B for square A by the multi-modular method.  Every
+/// Exact solve A X = B for square A by Dixon p-adic lifting.  Every
 /// returned matrix is a proven solution (exact A·X == B recheck).  Returns
 /// nullopt only on a proof that A is singular: the unlucky primes, each of
 /// which divides det(A), multiply past the Hadamard bound on |det(A)|.
@@ -120,6 +128,23 @@ class Montgomery62 {
   }
   /// Inverse of a nonzero Montgomery-form value (Fermat: a^(p-2)).
   [[nodiscard]] std::uint64_t inv(std::uint64_t a_mont) const;
+  /// Σ_j mul(a[j], b[j]) over `len` terms with one reduction per four
+  /// products: each product is below p², and four of them stay below
+  /// p·2^64 (p < 2^62), the input range of one Montgomery reduction.
+  [[nodiscard]] std::uint64_t dot(const std::uint64_t* a,
+                                  const std::uint64_t* b,
+                                  std::size_t len) const {
+    using U128 = unsigned __int128;
+    std::uint64_t acc = 0;
+    std::size_t j = 0;
+    for (; j + 4 <= len; j += 4)
+      acc = add(acc, redc(static_cast<U128>(a[j]) * b[j] +
+                          static_cast<U128>(a[j + 1]) * b[j + 1] +
+                          static_cast<U128>(a[j + 2]) * b[j + 2] +
+                          static_cast<U128>(a[j + 3]) * b[j + 3]));
+    for (; j < len; ++j) acc = add(acc, mul(a[j], b[j]));
+    return acc;
+  }
 
  private:
   [[nodiscard]] std::uint64_t redc(unsigned __int128 t) const {
@@ -144,6 +169,8 @@ class Montgomery62 {
 
 namespace detail {
 
+struct IntSystem;  // exact/int_system.hpp
+
 /// Batched CRT fold (exposed for micro benchmarks and determinism tests).
 /// `residues[i][e]` is the plain residue of entry e modulo `primes[i]`
 /// (all primes distinct, odd, < 2^62, and coprime to m).  Afterwards every
@@ -157,6 +184,70 @@ void crt_fold_batch(std::vector<BigInt>& xs, BigInt& m,
                     const std::vector<const std::uint64_t*>& residues,
                     const std::vector<std::uint64_t>& primes,
                     std::size_t jobs);
+
+/// Dixon p-adic lifting of the integer system M X = R (n x n, n x k).
+/// One LU factorisation of M mod p; then step() appends the next p-adic
+/// digit Y_L = M^{-1} R_L mod p and updates the residual
+/// R_{L+1} = (R_L - M Y_L) / p, an exact division.  After L steps
+/// X ≡ Σ_{i<L} Y_i p^i (mod p^L).  The residual stays below
+/// max(|R|, max row 1-norm of M) in magnitude, so it lives in a fixed
+/// number of 64-bit words (2 at the paper's sizes) and a step is O(N²k)
+/// word operations — no BigInt.
+class DixonLift {
+ public:
+  /// Factorise M modulo modular_prime(0), modular_prime(1), ... until one
+  /// is lucky (M invertible mod p).  Every unlucky prime divides det(M);
+  /// once their product passes sys.det_bound_bits, M is proven singular
+  /// and this returns nullopt.  `unlucky` receives the number of primes
+  /// skipped.  Throws TimeoutError when `deadline` expires.
+  [[nodiscard]] static std::optional<DixonLift> start(const IntSystem& sys,
+                                                      const Deadline& deadline,
+                                                      std::uint64_t& unlucky);
+
+  /// Lift one more digit.
+  void step();
+
+  [[nodiscard]] std::uint64_t prime() const { return mont_.modulus(); }
+  [[nodiscard]] std::size_t digits() const { return lifted_; }
+  /// Digit i (plain residues in [0, p)), row-major n x k.
+  [[nodiscard]] const std::uint64_t* digit(std::size_t i) const {
+    return digits_.data() + i * width_;
+  }
+
+ private:
+  DixonLift(std::uint64_t p, std::size_t n, std::size_t k);
+  /// LU-factorise M mod p; false when M is singular mod p (unlucky).
+  [[nodiscard]] bool factorise(const IntSystem& sys, const Deadline& deadline);
+  /// M's nonzeros and the initial residual R as fixed-width integers.
+  void load(const IntSystem& sys);
+  /// Canonical residue mod p of a words_-word two's-complement value.
+  [[nodiscard]] std::uint64_t words_mod(const std::uint64_t* a) const;
+
+  Montgomery62 mont_;
+  std::size_t n_, k_, width_;  ///< width_ = n·k entries per digit
+  std::vector<std::uint64_t> lu_;     ///< n x n Montgomery form, L below diag
+  std::vector<std::size_t> swaps_;    ///< pivot row chosen at each column
+  std::vector<std::uint64_t> dinv_;   ///< U(i,i)^{-1}, Montgomery form
+  std::size_t words_ = 0;             ///< two's-complement words per value
+  std::vector<std::size_t> row_start_, cols_;  ///< M's nonzeros (CSR)
+  std::vector<std::uint64_t> vals_;   ///< words_ words per nonzero
+  std::vector<std::uint64_t> res_;    ///< residual, words_ per entry
+  std::vector<std::uint64_t> res_mod_;  ///< residual mod p, per entry
+  std::uint64_t p_inv_ = 0;  ///< p^{-1} mod 2^64 (exact division)
+  std::uint64_t wrap_mod_ = 0;  ///< 2^(64·words_) mod p
+  std::vector<std::uint64_t> digits_;
+  std::size_t lifted_ = 0;  ///< digits so far (k may be 0)
+};
+
+/// P-adic fold (the Dixon counterpart of crt_fold_batch): digit i of entry
+/// e is digits[i·entries + e], in [0, p), for i < count.  Afterwards every
+/// xs[e] has grown by m·Σ_i digit_i·p^i and m has been multiplied by
+/// p^count.  The digit sum is combined through a balanced product tree
+/// (lo + p^h·hi) and entry blocks fan out over `jobs` workers; the result
+/// is bit-identical for any jobs value.
+void padic_fold(std::vector<BigInt>& xs, BigInt& m,
+                const std::uint64_t* digits, std::size_t count,
+                std::uint64_t p, std::size_t jobs);
 
 }  // namespace detail
 

@@ -1,6 +1,7 @@
-// Multi-modular exact solver: Montgomery kernel units, rational
-// reconstruction, and (the property the whole module hangs on)
-// bit-identical agreement with fraction-free Bareiss.
+// Exact modular solver: Montgomery kernel units, Dixon p-adic lifting and
+// its digit conversion, rational reconstruction, and (the property the
+// whole module hangs on) bit-identical agreement with fraction-free
+// Bareiss.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +11,7 @@
 #include "exact/lyapunov_exact.hpp"
 #include "exact/matrix.hpp"
 #include "exact/modular.hpp"
+#include "obs/metrics.hpp"
 
 namespace spiv::exact {
 namespace {
@@ -105,6 +107,49 @@ TEST(RationalReconstruct, RecoversSmallFractions) {
   }
 }
 
+/// a^{-1} mod m by extended Euclid (gcd(a, m) == 1).
+BigInt inverse_mod(const BigInt& a, const BigInt& m) {
+  BigInt r0 = m, r1 = a % m, t0{0}, t1{1};
+  while (!r1.is_zero()) {
+    auto [q, r2] = BigInt::div_mod(r0, r1);
+    r0 = std::move(r1);
+    r1 = std::move(r2);
+    BigInt t2 = t0 - q * t1;
+    t0 = std::move(t1);
+    t1 = std::move(t2);
+  }
+  return t0.is_negative() ? t0 + m : t0;
+}
+
+TEST(RationalReconstruct, RecoversFractionsJustUnderTheBound) {
+  // Multi-word fractions a few bits under the balanced bound, where the
+  // Lehmer rounds must stop before stepping over the first remainder at
+  // or below it.
+  const BigInt m = BigInt{static_cast<std::int64_t>(modular_prime(0))}.pow(10);
+  const BigInt bound = isqrt((m - BigInt{1}) / BigInt{2});
+  std::mt19937_64 rng{7020};
+  for (int iter = 0; iter < 40; ++iter) {
+    const std::size_t bits = bound.bit_length() - 1 - iter % 5;
+    auto random_bits = [&rng](std::size_t nbits) {
+      BigInt v{1};
+      while (v.bit_length() < nbits)
+        v = v.shifted_left(31) + BigInt{static_cast<std::int64_t>(rng() >> 33)};
+      return v.shifted_right(v.bit_length() - nbits);
+    };
+    BigInt num = random_bits(bits);
+    BigInt den = random_bits(bits - iter % 3);
+    const BigInt g = BigInt::gcd(num, den);
+    num /= g;
+    den /= g;
+    if (iter % 2) num = num.negated();
+    BigInt u = num % m * inverse_mod(den, m) % m;
+    if (u.is_negative()) u += m;
+    const auto r = rational_reconstruct(u, m, bound);
+    ASSERT_TRUE(r.has_value()) << iter;
+    EXPECT_EQ(*r, Rational(num, den)) << iter;
+  }
+}
+
 TEST(RationalReconstruct, RejectsValuesOutsideTheBound) {
   // With bound floor(sqrt((m-1)/2)) ~ 707, a residue encoding 1234/1235
   // (both above the bound) has no admissible representative.
@@ -112,6 +157,148 @@ TEST(RationalReconstruct, RejectsValuesOutsideTheBound) {
   const BigInt bound{20};
   auto r = rational_reconstruct(BigInt{987654}, m, bound);
   EXPECT_FALSE(r.has_value());
+}
+
+// ------------------------------------------------------------ p-adic lift
+
+/// Σ_i digits[i·entries + e]·p^i by Horner, the reference for padic_fold.
+BigInt horner(const std::vector<std::uint64_t>& digits, std::size_t count,
+              std::size_t entries, std::size_t e, std::uint64_t p) {
+  BigInt x;
+  for (std::size_t i = count; i-- > 0;)
+    x = x * BigInt{static_cast<std::int64_t>(p)} +
+        BigInt{static_cast<std::int64_t>(digits[i * entries + e])};
+  return x;
+}
+
+TEST(PadicFold, BalancedConversionMatchesHorner) {
+  const std::uint64_t p = modular_prime(0);
+  const std::size_t entries = 7;
+  std::mt19937_64 rng{7300};
+  std::uniform_int_distribution<std::uint64_t> digit{0, p - 1};
+  for (std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                            std::size_t{8}, std::size_t{13}, std::size_t{64},
+                            std::size_t{65}}) {
+    std::vector<std::uint64_t> digits(count * entries);
+    for (std::uint64_t& d : digits) d = digit(rng);
+    digits[0] = 0;                      // a zero low digit
+    digits[digits.size() - 1] = p - 1;  // the largest top digit
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+      std::vector<BigInt> xs(entries);
+      BigInt m{1};
+      detail::padic_fold(xs, m, digits.data(), count, p, jobs);
+      EXPECT_EQ(m, BigInt{static_cast<std::int64_t>(p)}.pow(
+                       static_cast<unsigned>(count)));
+      for (std::size_t e = 0; e < entries; ++e)
+        EXPECT_EQ(xs[e], horner(digits, count, entries, e, p))
+            << "count=" << count << " jobs=" << jobs << " entry " << e;
+      // Folding in two pieces (as the checkpoints do) gives the same value.
+      const std::size_t head = count / 2;
+      std::vector<BigInt> ys(entries);
+      BigInt m2{1};
+      detail::padic_fold(ys, m2, digits.data(), head, p, jobs);
+      detail::padic_fold(ys, m2, digits.data() + head * entries, count - head,
+                         p, jobs);
+      EXPECT_EQ(ys, xs) << "count=" << count << " jobs=" << jobs;
+      EXPECT_EQ(m2, m);
+    }
+  }
+}
+
+TEST(DixonLift, DigitsSolveTheSystemModuloPToTheL) {
+  // The lifting invariant: after L steps, x_L = Σ_{i<L} y_i p^i satisfies
+  // M·x_L ≡ R (mod p^L), for every right-hand side column.  Checked on a
+  // rational system (row scaling in play) with two right-hand sides.
+  std::mt19937_64 rng{7310};
+  const RatMatrix a = random_stable(rng, 9);
+  const RatMatrix b = random_matrix(rng, 9, 2);
+  const detail::IntSystem sys = detail::clear_denominators(a, &b);
+  std::uint64_t unlucky = 99;
+  auto lift = detail::DixonLift::start(sys, Deadline{}, unlucky);
+  ASSERT_TRUE(lift.has_value());
+  EXPECT_EQ(unlucky, 0u);
+  EXPECT_EQ(lift->prime(), modular_prime(0));
+  const std::size_t n = 9, k = 2;
+  std::vector<BigInt> xs(n * k);
+  BigInt m{1};
+  std::size_t converted = 0;
+  for (std::size_t checkpoint : {std::size_t{1}, std::size_t{4},
+                                 std::size_t{16}}) {
+    while (lift->digits() < checkpoint) lift->step();
+    ASSERT_EQ(lift->digits(), checkpoint);
+    detail::padic_fold(xs, m, lift->digit(converted), checkpoint - converted,
+                       lift->prime(), 2);
+    converted = checkpoint;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t c = 0; c < k; ++c) {
+        BigInt lhs = -sys.rhs[i][c];
+        for (std::size_t j = 0; j < n; ++j) lhs += sys.m[i][j] * xs[j * k + c];
+        EXPECT_TRUE((lhs % m).is_zero())
+            << "L=" << checkpoint << " row " << i << " col " << c;
+      }
+  }
+  // And the residue image is the true solution's: X ≡ x_L (mod p^L).
+  const auto x = a.solve(b);
+  ASSERT_TRUE(x.has_value());
+  for (std::size_t e = 0; e < n * k; ++e) {
+    const Rational& v = (*x)(e / k, e % k);
+    EXPECT_TRUE(((v.num() - v.den() * xs[e]) % m).is_zero()) << e;
+  }
+}
+
+TEST(DixonLift, PivotsPastZeroDiagonalAndWideEntries) {
+  // A zero diagonal forces a row swap at every column of the LU mod p,
+  // and entries near 2^62 put the residual bound at 64 bits, so the
+  // residual needs a second word for its sign.
+  std::mt19937_64 rng{7330};
+  std::uniform_int_distribution<std::int64_t> big{std::int64_t{1} << 61,
+                                                  std::int64_t{1} << 62};
+  for (std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{8}}) {
+    RatMatrix a = random_matrix(rng, n, n);
+    for (std::size_t i = 0; i < n; ++i) a(i, i) = Rational{0};
+    RatMatrix wide{n, n};
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        wide(i, j) = Rational{i == j ? 0 : (rng() % 2 ? 1 : -1) * big(rng)};
+    RatMatrix b = random_matrix(rng, n, 2);
+    for (std::size_t i = 0; i < n; ++i)  // integers: rows stay unscaled
+      for (std::size_t c = 0; c < 2; ++c)
+        b(i, c) = Rational{b(i, c).num(), BigInt{1}};
+    for (const RatMatrix* m : {&a, &wide}) {
+      auto bareiss = m->solve(b);
+      ASSERT_TRUE(bareiss.has_value()) << "n=" << n;
+      auto modular = solve_rational_modular(*m, b);
+      ASSERT_TRUE(modular.has_value()) << "n=" << n;
+      EXPECT_EQ(*modular, *bareiss) << "n=" << n;
+    }
+  }
+}
+
+TEST(DixonLift, SkipsTheFirstTwoUnluckyPrimes) {
+  // det(M) is divisible by modular_prime(0) and modular_prime(1), so both
+  // factorisations are singular mod p and the lift starts at the third.
+  RatMatrix a{{Rational{static_cast<std::int64_t>(modular_prime(0))},
+               Rational{1}, Rational{0}},
+              {Rational{0}, Rational{static_cast<std::int64_t>(modular_prime(1))},
+               Rational{2}},
+              {Rational{0}, Rational{0}, Rational{3}}};
+  const RatMatrix b{{Rational{1}}, {Rational{2}}, {Rational{3}}};
+  const detail::IntSystem sys = detail::clear_denominators(a, &b);
+  std::uint64_t unlucky = 0;
+  auto lift = detail::DixonLift::start(sys, Deadline{}, unlucky);
+  ASSERT_TRUE(lift.has_value());
+  EXPECT_EQ(unlucky, 2u);
+  EXPECT_EQ(lift->prime(), modular_prime(2));
+  // The full solve skips the same two and still matches Bareiss.
+  ModularStats stats;
+  ModularOptions options;
+  options.stats = &stats;
+  auto modular = solve_rational_modular(a, b, Deadline{}, options);
+  auto bareiss = a.solve(b);
+  ASSERT_TRUE(modular.has_value());
+  ASSERT_TRUE(bareiss.has_value());
+  EXPECT_EQ(*modular, *bareiss);
+  EXPECT_EQ(stats.unlucky_primes, 2u);
 }
 
 // ---------------------------------------------------------------- solves
@@ -143,6 +330,18 @@ TEST(SolveRationalModular, SingularSystemReturnsNullopt) {
   EXPECT_FALSE(a.solve(b).has_value());  // Bareiss agrees: singular
 }
 
+TEST(SolveRationalModular, NoRightHandSideColumns) {
+  // k = 0: a nonsingular system has the empty solution, a singular one
+  // is still proven singular.
+  std::mt19937_64 rng{7009};
+  const RatMatrix a = random_stable(rng, 4);
+  const auto x = solve_rational_modular(a, RatMatrix{4, 0});
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(*x, RatMatrix(4, 0));
+  const RatMatrix s{{Rational{1}, Rational{2}}, {Rational{2}, Rational{4}}};
+  EXPECT_FALSE(solve_rational_modular(s, RatMatrix{2, 0}).has_value());
+}
+
 TEST(SolveRationalModular, SkipsSeededUnluckyPrime) {
   // det(A) == modular_prime(0), so the first prime of the sequence sees a
   // singular system and must be skipped without affecting the result.
@@ -159,7 +358,7 @@ TEST(SolveRationalModular, SkipsSeededUnluckyPrime) {
   ASSERT_TRUE(modular.has_value());
   ASSERT_TRUE(bareiss.has_value());
   EXPECT_EQ(*modular, *bareiss);
-  EXPECT_GE(stats.unlucky_primes, 1u);
+  EXPECT_EQ(stats.unlucky_primes, 1u);
 }
 
 TEST(SolveRationalModular, ResultIndependentOfJobs) {
@@ -212,10 +411,9 @@ TEST(SolveRationalModular, PaperSizeVechSystemsMatchBareissAcrossJobs) {
 
 TEST(SolveRationalModular, PerEntryReconstructionHandlesMixedDenominators) {
   // Output-sensitive reconstruction: a diagonal system whose solution
-  // mixes tiny denominators (reconstructable after a handful of primes,
-  // then served from the per-entry cache) with a ~320-bit one (beyond the
-  // first checkpoint's reach), plus repeats that exercise the
-  // shared-denominator fast path.
+  // mixes tiny denominators (reconstructable after a handful of digits)
+  // with a ~320-bit one (beyond the first checkpoints' reach), plus
+  // repeats that exercise the shared-denominator fast path.
   const BigInt huge1 = BigInt{"340282366920938463463374607431768211507"};
   const BigInt huge2 = BigInt{"18446744073709551629"}.pow(5);
   const std::vector<Rational> expect = {
@@ -243,13 +441,15 @@ TEST(SolveRationalModular, PerEntryReconstructionHandlesMixedDenominators) {
   }
   ModularStats stats;
   ModularOptions options;
-  options.jobs = 1;  // 8-prime batches: the first attempt sees 496 bits
+  options.jobs = 1;
   options.stats = &stats;
   auto x = solve_rational_modular(a, b, Deadline{}, options);
   ASSERT_TRUE(x.has_value());
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ((*x)(i, 0), expect[i]) << i;
-  // The first attempt fails on the 320-bit entry; the next one serves the
-  // entries it already reconstructed from the per-entry cache.
+  // Checkpoints fall at 4, 8, 16, ... p-adic digits of ~62 bits.  The
+  // 320-bit denominator needs a modulus beyond 640 bits, so the attempts
+  // at 4 digits (248 bits) and 8 digits (496 bits) fail on it, after the
+  // tiny-denominator entries before it have reconstructed.
   EXPECT_GE(stats.attempts, 2u);
 }
 
@@ -296,6 +496,47 @@ TEST(SolveRationalModular, ParallelPassMatchesSerialOnMixedDenominators) {
     results.push_back(std::move(*x));
   }
   EXPECT_EQ(results[0], results[1]);
+}
+
+TEST(SolveRationalModular, EachPhaseHistogramIsObservedOncePerSolve) {
+  // Per-solve phase histograms (spivbench's exact-solver probe reads their
+  // deltas around one solve): exactly one observation each, whether the
+  // solve exits early, runs to the full budget, or proves singularity.
+  auto& registry = obs::Registry::global();
+  obs::Histogram* phases[] = {
+      &registry.histogram("spiv_modular_elim_seconds"),
+      &registry.histogram("spiv_modular_crt_seconds"),
+      &registry.histogram("spiv_modular_reconstruct_seconds"),
+      &registry.histogram("spiv_modular_verify_seconds")};
+  std::mt19937_64 rng{7320};
+  const RatMatrix a = random_stable(rng, 6);
+  const RatMatrix b = random_matrix(rng, 6, 1);
+  const Rational scale{BigInt::pow10(40), BigInt{1}};
+  const RatMatrix singular{{Rational{1}, Rational{2}},
+                           {Rational{2}, Rational{4}}};
+  const RatMatrix singular_b{{Rational{1}}, {Rational{1}}};
+  struct Case {
+    const RatMatrix* a;
+    const RatMatrix* b;
+    bool solvable;
+  };
+  const RatMatrix a_scaled = a * scale;
+  const RatMatrix b_scaled = b * scale;
+  for (const Case& c : {Case{&a, &b, true}, Case{&a_scaled, &b_scaled, true},
+                        Case{&singular, &singular_b, false}}) {
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      std::uint64_t before[4];
+      for (std::size_t i = 0; i < 4; ++i) before[i] = phases[i]->count();
+      ModularOptions options;
+      options.jobs = jobs;
+      EXPECT_EQ(solve_rational_modular(*c.a, *c.b, Deadline{}, options)
+                    .has_value(),
+                c.solvable);
+      for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(phases[i]->count() - before[i], 1u)
+            << "histogram " << i << " jobs=" << jobs;
+    }
+  }
 }
 
 TEST(SolveRationalModular, DeadlineExpiringMidPassRaisesOnTheDriver) {
