@@ -106,7 +106,7 @@ Table1Result run_table1(const ExperimentConfig& config) {
 
   for_each_job(
       outcomes.size(), config.jobs,
-      [&](std::size_t idx, const CancelToken& token) {
+      [&](std::size_t idx) {
         const Strategy& strategy = result.strategies[idx / num_cases];
         const ModeCase& mc = cases[idx % num_cases];
         SynthOutcome& out = outcomes[idx];
@@ -118,7 +118,6 @@ Table1Result run_table1(const ExperimentConfig& config) {
         }
         verify::VerifyContext ctx;
         ctx.store = cache;
-        ctx.token = &token;
         verify::VerifyRequest vreq;
         vreq.a = mc.a;
         vreq.method = strategy.method;
@@ -203,7 +202,7 @@ Figure3Result run_figure3(const std::vector<CandidateRecord>& candidates,
 
   for_each_job(
       result.samples.size(), config.jobs,
-      [&](std::size_t idx, const CancelToken& token) {
+      [&](std::size_t idx) {
         const std::size_t e = idx / num_candidates;
         const std::size_t c = idx % num_candidates;
         {
@@ -213,7 +212,6 @@ Figure3Result run_figure3(const std::vector<CandidateRecord>& candidates,
           progress(config, line.str());
         }
         verify::VerifyContext ctx;
-        ctx.token = &token;
         verify::ValidateRequest vreq;
         vreq.a = candidates[c].a;
         vreq.p = candidates[c].p;
@@ -253,11 +251,10 @@ RoundingResult run_rounding_study(
   std::vector<int> outcomes(candidates.size() * num_levels, 0);
   for_each_job(
       outcomes.size(), config.jobs,
-      [&](std::size_t idx, const CancelToken& token) {
+      [&](std::size_t idx) {
         const CandidateRecord& record = candidates[idx / num_levels];
         const int digits = digit_levels[idx % num_levels];
         verify::VerifyContext ctx;
-        ctx.token = &token;
         verify::ValidateRequest vreq;
         vreq.a = record.a;
         vreq.p = record.p;
@@ -319,7 +316,7 @@ Table2Result run_table2(const ExperimentConfig& config,
   result.entries.resize(cases.size());
   for_each_job(
       cases.size(), config.jobs,
-      [&](std::size_t idx, const CancelToken& token) {
+      [&](std::size_t idx) {
         const Table2Case& tc = cases[idx];
         {
           std::ostringstream line;
@@ -333,7 +330,6 @@ Table2Result run_table2(const ExperimentConfig& config,
         entry.mode = tc.mode;
         entry.strategy = tc.strategy;
         verify::VerifyContext ctx;
-        ctx.token = &token;
         verify::VerifyRequest vreq;
         vreq.a = tc.system->mode(tc.mode).a;
         vreq.method = tc.strategy.method;

@@ -44,7 +44,7 @@ struct ExperimentConfig {
   double alpha = 0.1;      ///< LMIa decay-rate parameter
   double nu = 1e-3;        ///< LMIa+ eigenvalue floor
   bool verbose = false;    ///< progress lines on stderr
-  /// Worker threads for the job pool: 0 = $SPIV_JOBS (else
+  /// Fan-out width cap (core::for_each_job): 0 = $SPIV_JOBS (else
   /// hardware_concurrency), 1 = run serially on the calling thread.
   /// All drivers merge job results in case-index order, so every non-timing
   /// output (counts, candidates, outcomes) is identical for any value.

@@ -17,15 +17,20 @@ void warn_jobs_once(const std::string& message) {
   if (!warned.exchange(true)) std::cerr << "spiv: " << message << "\n";
 }
 
-/// Hardware thread count, never zero.
+/// Hardware thread count, never zero.  Read once: hardware_concurrency()
+/// is a sysfs read, and every fan-out resolves its width.
 std::size_t hardware_jobs() {
-  const unsigned hw_raw = std::thread::hardware_concurrency();
-  return hw_raw > 0 ? hw_raw : 1;
+  static const std::size_t hw =
+      std::max(std::thread::hardware_concurrency(), 1u);
+  return hw;
 }
 
 /// Oversubscribing a work-stealing pool beyond a few threads per core only
 /// adds contention; treat anything past 8x the hardware as a typo.
 std::size_t jobs_cap() { return 8 * hardware_jobs(); }
+
+/// The pool whose worker is running on this thread; nullptr outside any.
+thread_local JobPool* t_pool = nullptr;
 
 }  // namespace
 
@@ -60,8 +65,10 @@ JobPool::JobPool(std::size_t threads)
       steals_(obs::Registry::global().counter("spiv_pool_steals_total")) {
   if (threads == 0) threads = 1;
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
+  for (std::size_t i = 0; i < threads; ++i) {
     workers_.push_back(std::make_unique<Worker>());
+    idle_.push_back(i);  // idle before its thread runs: fan-outs can use it
+  }
   threads_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
     threads_.emplace_back([this, i] { run_worker(i); });
@@ -76,19 +83,21 @@ JobPool::~JobPool() {
   for (auto& t : threads_) t.join();
 }
 
-void JobPool::submit(Job job) {
+bool JobPool::submit(Job job, bool only_if_idle) {
   std::size_t target;
   {
     std::lock_guard<std::mutex> lock(signal_mutex_);
-    ++pending_;
     if (!idle_.empty()) {
       target = idle_.back();
       idle_.pop_back();
       workers_[target]->parked = false;
+    } else if (only_if_idle) {
+      return false;
     } else {
       target = next_worker_;
       next_worker_ = (next_worker_ + 1) % workers_.size();
     }
+    ++pending_;
     // Pushed under signal_mutex_, so a worker deciding to park (which
     // checks any_work() under it too) cannot miss this job.
     std::lock_guard<std::mutex> wlock(workers_[target]->mutex);
@@ -96,6 +105,7 @@ void JobPool::submit(Job job) {
   }
   queue_depth_.add(1);
   workers_[target]->wake.notify_one();
+  return true;
 }
 
 void JobPool::wait_idle() {
@@ -141,6 +151,7 @@ bool JobPool::try_pop(std::size_t self, Job& out) {
 }
 
 void JobPool::run_worker(std::size_t self) {
+  t_pool = this;
   Worker& me = *workers_[self];
   for (;;) {
     Job job;
@@ -154,40 +165,76 @@ void JobPool::run_worker(std::size_t self) {
     if (ran && --pending_ == 0) idle_cv_.notify_all();
     if (any_work()) continue;
     if (stop_) return;
-    idle_.push_back(self);
+    if (!me.parked) idle_.push_back(self);
     me.parked = true;
     me.wake.wait(lock, [this, &me] { return stop_ || !me.parked; });
   }
 }
 
-void for_each_job(
-    std::size_t n, std::size_t jobs,
-    const std::function<void(std::size_t, const CancelToken&)>& body) {
-  jobs = resolve_jobs(jobs);
-  if (jobs <= 1 || n <= 1) {
-    const CancelToken token;
-    for (std::size_t i = 0; i < n; ++i) body(i, token);
+namespace {
+
+/// One fan-out's shared claim state.  Helpers hold it by shared_ptr: a
+/// helper that starts after the caller has returned finds no index left
+/// and touches nothing else.
+struct FanOut {
+  /// Claim and run indices until none is left.  noexcept: a throwing body
+  /// ends the process on the caller's thread as on a helper's.
+  void work() noexcept {
+    std::size_t ran = 0;
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      (*body)(i);
+      ++ran;
+    }
+    if (ran == 0) return;  // claimed nothing: the caller waits for no one
+    std::lock_guard<std::mutex> lock(mutex);
+    if ((finished += ran) == n) all_done.notify_all();
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>* body;  ///< valid while n unfinished
+  std::atomic<std::size_t> next = 0;
+  std::mutex mutex;
+  std::condition_variable all_done;
+  std::size_t finished = 0;  ///< indices run to completion (guarded by mutex)
+};
+
+/// The pool of a fan-out whose caller belongs to no pool, built on first
+/// use with resolve_jobs() workers.
+JobPool& process_pool() {
+  static JobPool pool{resolve_jobs()};
+  return pool;
+}
+
+}  // namespace
+
+void for_each_job(std::size_t n, std::size_t jobs,
+                  const std::function<void(std::size_t)>& body) {
+  const std::size_t width = std::min(resolve_jobs(jobs), n);
+  if (width <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  JobPool pool{std::min(jobs, n)};
-  for (std::size_t i = 0; i < n; ++i)
-    pool.submit([&body, &pool, i] { body(i, pool.token()); });
-  pool.wait_idle();
+  JobPool& pool = t_pool ? *t_pool : process_pool();
+  const auto fan = std::make_shared<FanOut>(n, &body);
+  for (std::size_t h = 1; h < width; ++h)
+    if (!pool.submit([fan] { fan->work(); }, /*only_if_idle=*/true)) break;
+  fan->work();
+  // Every index is claimed by now, and a claimed index is a started one.
+  std::unique_lock<std::mutex> lock(fan->mutex);
+  fan->all_done.wait(lock, [&fan] { return fan->finished == fan->n; });
 }
 
 void for_each_block(
     std::size_t n, std::size_t jobs,
-    const std::function<void(std::size_t, std::size_t, const CancelToken&)>&
-        body) {
+    const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  jobs = resolve_jobs(jobs);
-  const std::size_t chunk = (n + std::min(jobs, n) - 1) / std::min(jobs, n);
+  const std::size_t width = std::min(resolve_jobs(jobs), n);
+  const std::size_t chunk = (n + width - 1) / width;
   const std::size_t blocks = (n + chunk - 1) / chunk;  // no empty tail block
-  for_each_job(blocks, jobs,
-               [&body, n, chunk](std::size_t b, const CancelToken& token) {
-                 const std::size_t begin = b * chunk;
-                 body(begin, std::min(n, begin + chunk), token);
-               });
+  for_each_job(blocks, width, [&body, n, chunk](std::size_t b) {
+    const std::size_t begin = b * chunk;
+    body(begin, std::min(n, begin + chunk));
+  });
 }
 
 }  // namespace spiv::core

@@ -12,9 +12,10 @@
 // calling thread in case-index order — so parallel output is identical to
 // the serial harness for everything that is not a wall-clock measurement.
 //
-// Cancellation: the pool owns a CancelToken.  Jobs bind their per-job
-// Deadline to it (Deadline::after_seconds(s, pool.token())), so cancel()
-// preempts running kernels at their next innermost-loop poll.
+// Fan-out (for_each_job / for_each_block) starts no threads and cancels
+// nothing: helpers go to idle workers of the caller's own pool, so inside a
+// busy pool it runs inline.  A job that should be stoppable binds its
+// Deadline to a CancelToken its owner holds.
 #pragma once
 
 #include <condition_variable>
@@ -27,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "exact/timeout.hpp"
 #include "obs/metrics.hpp"
 
 namespace spiv::core {
@@ -38,10 +38,10 @@ namespace spiv::core {
 [[nodiscard]] std::optional<std::size_t> parse_jobs(const char* text);
 
 /// Worker count to use: `requested` if nonzero, else $SPIV_JOBS, else
-/// hardware_concurrency().  Always >= 1.  $SPIV_JOBS must pass parse_jobs
-/// (trailing junk rejects the value); both it and explicit requests are
-/// capped at 8x hardware_concurrency().  Rejected or clamped values warn
-/// once on stderr.
+/// hardware_concurrency() (read once per process).  Always >= 1.
+/// $SPIV_JOBS must pass parse_jobs (trailing junk rejects the value); both
+/// it and explicit requests are capped at 8x hardware_concurrency().
+/// Rejected or clamped values warn once on stderr.
 [[nodiscard]] std::size_t resolve_jobs(std::size_t requested = 0);
 
 /// Fixed-size work-stealing thread pool.  Jobs must not throw (wrap the
@@ -59,16 +59,13 @@ class JobPool {
   /// Enqueue a job.  It goes to the worker that went idle most recently,
   /// so a lone sequential caller keeps reusing one warm worker (its
   /// caches and its malloc arena); with every worker busy, it goes
-  /// round-robin onto their deques and idle workers steal it.
-  void submit(Job job);
+  /// round-robin onto their deques and idle workers steal it — or, with
+  /// `only_if_idle`, is dropped and submit returns false.
+  bool submit(Job job, bool only_if_idle = false);
 
   /// Block until every submitted job has finished.
   void wait_idle();
 
-  /// Flip the pool's CancelToken: deadlines bound to it expire immediately.
-  void cancel_all() const { token_.cancel(); }
-
-  [[nodiscard]] const CancelToken& token() const { return token_; }
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
  private:
@@ -76,7 +73,7 @@ class JobPool {
     std::mutex mutex;
     std::deque<Job> jobs;
     std::condition_variable wake;  ///< handed a job, or stop
-    bool parked = false;           ///< on idle_ (guarded by signal_mutex_)
+    bool parked = true;  ///< on idle_, as from the start (signal_mutex_)
   };
 
   void run_worker(std::size_t self);
@@ -94,7 +91,6 @@ class JobPool {
   /// returns, the worker that finished last is on top.
   std::vector<std::size_t> idle_;
   std::size_t next_worker_ = 0;  ///< round-robin cursor when none is idle
-  CancelToken token_;
   // Pool observability (global registry, shared by every pool in the
   // process): resolved once here so the submit/pop path never locks it.
   obs::Gauge& queue_depth_;      ///< submitted, not yet popped by a worker
@@ -102,25 +98,24 @@ class JobPool {
   obs::Counter& steals_;         ///< pops from another worker's deque
 };
 
-/// Run body(i, token) for every i in [0, n) on a JobPool with `jobs`
-/// workers.  jobs <= 1 (after resolve_jobs) runs inline on the calling
-/// thread with a fresh token, reproducing the serial harness exactly.
-/// The body must not throw; each invocation should write only slot i of a
-/// pre-sized result vector.
+/// Run body(i) for every i in [0, n), at most `jobs` wide (after
+/// resolve_jobs; jobs <= 1 runs inline, reproducing the serial harness
+/// exactly).  Helpers go only to idle workers of the calling thread's pool
+/// (a process pool, built on first use, for a thread outside any pool).
+/// The caller claims indices too and waits only for indices another thread
+/// has started, so a nested call cannot deadlock or run an unrelated job.
+/// The body must not throw; invocation i should write only slot i.
 void for_each_job(std::size_t n, std::size_t jobs,
-                  const std::function<void(std::size_t, const CancelToken&)>& body);
+                  const std::function<void(std::size_t)>& body);
 
-/// Run body(begin, end, token) over a partition of [0, n) into at most
-/// `jobs` contiguous near-equal blocks (block-cyclic would interleave
-/// writes; contiguous blocks keep each worker on its own cache lines).
-/// Used where per-item work is small and uniform — e.g. the per-entry CRT
-/// folds of the multi-modular solver — so one pool job per item would
-/// drown in submission overhead.  Same contract as for_each_job: jobs <= 1
-/// runs inline serially, bodies must not throw, each block writes only its
-/// own slots.
+/// Run body(begin, end) over a partition of [0, n) into at most `jobs`
+/// contiguous near-equal blocks (block-cyclic would interleave writes;
+/// contiguous blocks keep each worker on its own cache lines).  Used where
+/// per-item work is small and uniform — e.g. the per-entry folds of the
+/// multi-modular solver — so one job per item would drown in claim
+/// overhead.  Same contract as for_each_job.
 void for_each_block(
     std::size_t n, std::size_t jobs,
-    const std::function<void(std::size_t, std::size_t, const CancelToken&)>&
-        body);
+    const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace spiv::core

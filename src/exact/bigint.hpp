@@ -245,9 +245,6 @@ class BigInt {
 
   friend std::ostream& operator<<(std::ostream& os, const BigInt& v);
 
-  /// Total limb count (for diagnostics / complexity experiments).
-  [[nodiscard]] std::size_t limb_count() const { return limbs_.size(); }
-
  private:
   using Limb = std::uint32_t;
   using DoubleLimb = std::uint64_t;

@@ -72,7 +72,7 @@ bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
   // Lower-triangle entries (i, j), j <= i, in row-major order t = i(i+1)/2 + j.
   core::for_each_block(
       n * (n + 1) / 2, core::resolve_jobs(),
-      [&](std::size_t b0, std::size_t b1, const CancelToken& /*token*/) {
+      [&](std::size_t b0, std::size_t b1) {
         std::size_t i = 0;
         while ((i + 1) * (i + 2) / 2 <= b0) ++i;
         std::size_t j = b0 - i * (i + 1) / 2;

@@ -336,19 +336,6 @@ std::vector<Rational> RatMatrix::apply(const std::vector<Rational>& x) const {
   return out;
 }
 
-std::size_t RatMatrix::max_entry_bits() const {
-  std::size_t best = 0;
-  for (const auto& v : data_) best = std::max(best, v.bit_size());
-  return best;
-}
-
-std::vector<double> RatMatrix::to_double_row_major() const {
-  std::vector<double> out;
-  out.reserve(data_.size());
-  for (const auto& v : data_) out.push_back(v.to_double());
-  return out;
-}
-
 std::ostream& operator<<(std::ostream& os, const RatMatrix& m) {
   for (std::size_t i = 0; i < m.rows(); ++i) {
     os << (i == 0 ? "[" : " ");

@@ -107,12 +107,6 @@ class RatMatrix {
   /// Matrix-vector product.
   [[nodiscard]] std::vector<Rational> apply(const std::vector<Rational>& x) const;
 
-  /// Largest bit_size over entries (coefficient-growth diagnostics).
-  [[nodiscard]] std::size_t max_entry_bits() const;
-
-  /// Entry-wise conversion to double (for reporting only).
-  [[nodiscard]] std::vector<double> to_double_row_major() const;
-
   friend std::ostream& operator<<(std::ostream& os, const RatMatrix& m);
 
  private:

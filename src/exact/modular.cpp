@@ -288,7 +288,7 @@ void crt_fold_batch(std::vector<BigInt>& xs, BigInt& m,
   const std::size_t np = primes.size();
   core::for_each_block(
       xs.size(), jobs,
-      [&](std::size_t b0, std::size_t b1, const CancelToken& /*token*/) {
+      [&](std::size_t b0, std::size_t b1) {
         std::vector<BigInt> vals(np);
         for (std::size_t e = b0; e < b1; ++e) {
           // Per-prime delta: t_p = (r_p - x_e) * m^{-1} (mod p), so that
@@ -322,7 +322,7 @@ void padic_fold(std::vector<BigInt>& xs, BigInt& m,
     pows.push_back(pows.back() * pows.back());
   core::for_each_block(
       entries, jobs,
-      [&](std::size_t b0, std::size_t b1, const CancelToken& /*token*/) {
+      [&](std::size_t b0, std::size_t b1) {
         std::vector<BigInt> vals(count);
         for (std::size_t e = b0; e < b1; ++e) {
           for (std::size_t i = 0; i < count; ++i)
@@ -883,7 +883,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     const std::size_t first_parallel = e;
     core::for_each_block(
         entries - first_parallel, jobs,
-        [&](std::size_t b0, std::size_t b1, const CancelToken& /*token*/) {
+        [&](std::size_t b0, std::size_t b1) {
           BigInt d = d_shared;
           for (std::size_t i = first_parallel + b0;
                i < first_parallel + b1; ++i) {
@@ -928,7 +928,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     std::atomic<bool> abandoned{false};
     core::for_each_block(
         n, jobs,
-        [&](std::size_t r0, std::size_t r1, const CancelToken& /*token*/) {
+        [&](std::size_t r0, std::size_t r1) {
           for (std::size_t i = r0; i < r1; ++i) {
             if (!ok.load(std::memory_order_relaxed)) return;
             if (deadline.expired()) {  // jobs must not throw; driver raises
@@ -1012,10 +1012,9 @@ Rational determinant_modular(const RatMatrix& mat, const Deadline& deadline,
     {
       obs::Span span{"modular-elim"};
       PhaseTimer timer{elim_s};
-      core::for_each_job(batch, jobs,
-                         [&](std::size_t i, const CancelToken& /*token*/) {
-                           det_one_prime(sys, n, deadline, results[i]);
-                         });
+      core::for_each_job(batch, jobs, [&](std::size_t i) {
+        det_one_prime(sys, n, deadline, results[i]);
+      });
     }
     deadline.check();
     std::vector<std::uint64_t> fold_primes;

@@ -12,7 +12,7 @@
 // lifting step then costs one O(N²k) triangular solve mod p plus one sparse
 // integer residual update, yielding the next p-adic digit of X.  At
 // doubling checkpoints the digits are converted to X mod p^L through a
-// balanced product tree (entry blocks fan out over core::JobPool) and
+// balanced product tree (entry blocks fan out via core::for_each_block) and
 // Wang-style rational reconstruction is tried; a Hadamard bound caps L,
 // and an exact A·X = B recheck makes the early exit sound.  A shared
 // denominator (every denominator divides det(M) by Cramer) turns most
@@ -63,7 +63,7 @@ struct ModularStats {
 };
 
 struct ModularOptions {
-  /// Worker threads for the entry-block p-adic conversion and
+  /// Fan-out width cap for the entry-block p-adic conversion and
   /// reconstruction, the A·X == B recheck, and the determinant's per-prime
   /// fan-out and CRT fold: 0 = $SPIV_JOBS (else hardware_concurrency),
   /// 1 = serial on the calling thread.  Results are identical for any

@@ -56,7 +56,6 @@ class Rational {
   [[nodiscard]] bool is_zero() const { return num_.is_zero(); }
   [[nodiscard]] bool is_negative() const { return num_.is_negative(); }
   [[nodiscard]] bool is_one() const { return num_.is_one() && den_.is_one(); }
-  [[nodiscard]] bool is_integer() const { return den_.is_one(); }
   [[nodiscard]] int sign() const { return num_.sign(); }
 
   [[nodiscard]] Rational abs() const;

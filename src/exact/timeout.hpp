@@ -6,9 +6,9 @@
 // at plant sizes 15 and 18.  We reproduce that behaviour with a cooperative
 // Deadline checked inside the expensive inner loops.
 //
-// A Deadline can additionally carry a CancelToken: a shared flag flipped by
-// another thread (the parallel experiment harness, see core/parallel.hpp)
-// that expires the deadline immediately.  Checking the flag is a relaxed
+// A Deadline can additionally carry a CancelToken: a shared flag that the
+// token's owner (e.g. the spiv-serve Engine) flips from any thread to
+// expire the deadline immediately.  Checking the flag is a relaxed
 // atomic load, so kernels can afford to poll it in their innermost loops —
 // a cancelled job stops burning CPU within a few arithmetic operations
 // instead of running to the next coarse phase boundary.

@@ -22,7 +22,6 @@ class Client {
   bool connect_unix(const std::string& path);
   bool connect_tcp(const std::string& host, int port);
 
-  [[nodiscard]] bool connected() const { return fd_.valid(); }
   [[nodiscard]] const std::string& error() const { return error_; }
 
   /// Send `line` + '\n' (handles short writes); false on a broken socket.

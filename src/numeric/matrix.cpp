@@ -33,13 +33,6 @@ Matrix Matrix::diagonal(const Vector& d) {
   return m;
 }
 
-Matrix Matrix::from_row_major(std::size_t rows, std::size_t cols,
-                              const double* data) {
-  Matrix m{rows, cols};
-  std::copy(data, data + rows * cols, m.data_.begin());
-  return m;
-}
-
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   if (rows_ != rhs.rows_ || cols_ != rhs.cols_)
     throw std::invalid_argument("Matrix: shape mismatch in +=");

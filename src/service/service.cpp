@@ -195,8 +195,6 @@ Engine::Engine(const ServeOptions& options)
       batches_total_(
           obs::Registry::global().counter("spiv_serve_batches_total")),
       inflight_gauge_(obs::Registry::global().gauge("spiv_serve_inflight")),
-      queue_depth_gauge_(
-          obs::Registry::global().gauge("spiv_pool_queue_depth")),
       request_seconds_(
           obs::Registry::global().histogram("spiv_serve_request_seconds")) {
   if (!options_.handler) options_.handler = default_handler();
@@ -217,8 +215,9 @@ bool Engine::try_admit() {
           static_cast<std::int64_t>(options_.max_inflight))
     return false;
   if (options_.max_queue_depth != 0 &&
-      queue_depth_gauge_.value() >= options_.max_queue_depth)
+      queued_.load(std::memory_order_relaxed) >= options_.max_queue_depth)
     return false;
+  queued_.fetch_add(1, std::memory_order_relaxed);
   inflight_.fetch_add(1, std::memory_order_relaxed);
   inflight_gauge_.add(1);
   return true;
@@ -289,7 +288,7 @@ void Session::handle_verify_args(std::istringstream& is,
   if (!engine_.try_admit()) {
     std::ostringstream os;
     os << "busy id=" << req.id << " inflight=" << engine_.inflight()
-       << " queue_depth=" << engine_.queue_depth_gauge_.value();
+       << " queue_depth=" << engine_.queued_.load(std::memory_order_relaxed);
     emit(os.str());
     engine_.shed_total_.add();
     resolve_batch_member(batch, Status::Error, /*shed=*/true);
@@ -310,10 +309,10 @@ void Session::handle_verify_args(std::istringstream& is,
   const auto t0 = std::chrono::steady_clock::now();
   engine_.pool_.submit([req, engine, store, ttl, sink, pending, batch, settled,
                         t0] {
+    engine->queued_.fetch_sub(1, std::memory_order_relaxed);
     Response response;
     try {
-      response = engine->options_.handler(req, store, ttl,
-                                          engine->pool_.token());
+      response = engine->options_.handler(req, store, ttl, engine->token_);
     } catch (const std::exception& e) {
       response = error_outcome(req, std::string{"handler failed: "} + e.what());
     }

@@ -65,7 +65,7 @@
 //     synth_seconds=<s> validate_seconds=<s> [msg=<text>]
 //     (one physical line; wrapped here for readability.  msg text is
 //     sanitized: embedded newlines can never split a protocol line.)
-//   busy id=N inflight=<i> queue_depth=<q>
+//   busy id=N inflight=<i> queue_depth=<q>   (q: admitted, not started)
 //       Load shed: admission control refused the request without queuing
 //       it.  Sheds are cheap by design — no case file is opened, no job is
 //       submitted — and never block or abort the connection.
@@ -75,9 +75,9 @@
 // ## Admission control
 //
 // A session admits a request only while (a) the number of in-flight
-// requests across ALL sessions is below `max_inflight` and (b) the job
-// pool's queue-depth gauge (`spiv_pool_queue_depth`) is below
-// `max_queue_depth`; either bound set to 0 disables that check.  Refused
+// requests across ALL sessions is below `max_inflight` and (b) fewer than
+// `max_queue_depth` admitted requests wait for a worker (solver fan-out
+// jobs never count); either bound set to 0 disables that check.  Refused
 // requests are answered with a `busy` line and counted in
 // `spiv_serve_shed_total`.  Admission is checked on the event-loop thread
 // without a lock, so a burst across many connections can overshoot the
@@ -159,8 +159,8 @@ struct ServeOptions {
   /// Admission control: maximum in-flight requests across all sessions
   /// (0 = unbounded, the stdin default).
   std::size_t max_inflight = 0;
-  /// Admission control: shed while the pool queue-depth gauge is at or
-  /// above this (0 = unbounded).
+  /// Admission control: shed while this many admitted requests wait for a
+  /// worker (0 = unbounded).
   std::int64_t max_queue_depth = 0;
   /// TTL for negative certificate-store entries (0 = negative caching off).
   double negative_ttl_seconds = 0.0;
@@ -169,8 +169,9 @@ struct ServeOptions {
 };
 
 /// Shared service state behind every session: the job pool, the store, the
-/// admission counters, and the obs instruments.  One Engine serves any
-/// number of concurrent Sessions; all of its methods are thread-safe.
+/// admission counters, the obs instruments and the handlers' CancelToken.
+/// One Engine serves any number of concurrent Sessions; all of its methods
+/// are thread-safe.
 class Engine {
  public:
   explicit Engine(const ServeOptions& options);
@@ -197,7 +198,8 @@ class Engine {
  private:
   friend class Session;
 
-  /// Reserve one in-flight slot; false = shed (answer `busy`).
+  /// Reserve one in-flight and one queued slot (freed when a worker starts
+  /// the request); false = shed (answer `busy`).
   [[nodiscard]] bool try_admit();
   void release();
   void count_error() {
@@ -207,15 +209,16 @@ class Engine {
 
   ServeOptions options_;
   core::JobPool pool_;
+  CancelToken token_;
   std::atomic<int> errors_{0};
   std::atomic<std::int64_t> inflight_{0};
+  std::atomic<std::int64_t> queued_{0};  ///< admitted, not yet started
   obs::Counter& requests_total_;
   obs::Counter& errors_total_;
   obs::Counter& shed_total_;
   obs::Counter& batches_total_;
   obs::Gauge& inflight_gauge_;
-  obs::Gauge& queue_depth_gauge_;     ///< the pool's global depth gauge
-  obs::Histogram& request_seconds_;   ///< queued -> response written (SLO)
+  obs::Histogram& request_seconds_;  ///< queued -> response written (SLO)
 };
 
 /// Thread-safe whole-line sink: the transport appends line + "\n" to its

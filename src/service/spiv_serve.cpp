@@ -44,7 +44,7 @@ void print_usage(std::FILE* to, const char* prog) {
       "  --listen-tcp [HOST:]PORT   TCP listener (port 0 = ephemeral)\n"
       "  --max-connections N  connection cap, excess shed (default 256)\n"
       "  --max-inflight N     request admission cap, 0 = unbounded\n"
-      "  --max-queue-depth N  shed above this pool queue depth, 0 = off\n"
+      "  --max-queue-depth N  shed at N requests awaiting a worker, 0 = off\n"
       "  --neg-ttl SECONDS    negative-cache TTL (default 30, 0 = off)\n"
       "  --metrics-out FILE   write a final Prometheus snapshot on drain\n"
       "protocol: verify <case-file> <mode> <method> <backend|-> <engine> "

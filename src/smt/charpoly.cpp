@@ -46,12 +46,9 @@ std::vector<Rational> characteristic_polynomial_interpolation(
       shifted(i, i) += Rational{static_cast<std::int64_t>(k)};
     // Each determinant is the engine's dominant cost; pass the deadline so
     // a cancellation preempts inside the elimination, not just between
-    // interpolation nodes.  Serial (jobs = 1): the engine itself runs
-    // inside parallel validation sweeps, and a job pool per node would
-    // oversubscribe the machine.
-    exact::ModularOptions options;
-    options.jobs = 1;
-    values[k] = exact::determinant_modular(shifted, deadline, options);
+    // interpolation nodes.  Inside a parallel validation sweep its
+    // fan-out finds no idle worker and runs inline.
+    values[k] = exact::determinant_modular(shifted, deadline);
   }
   // Newton's divided differences on integer nodes, then expand to the
   // monomial basis.

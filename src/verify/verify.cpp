@@ -201,7 +201,6 @@ const char* to_string(Cache c) {
 VerifyContext VerifyContext::from_env() {
   VerifyContext ctx;
   ctx.store = store::CertStore::from_env();
-  ctx.jobs = core::env::jobs().value_or(0);
   ctx.negative_ttl_seconds = core::env::negative_ttl().value_or(0.0);
   return ctx;
 }

@@ -102,15 +102,13 @@ struct VerifyRequest {
 struct VerifyContext {
   store::CertStore* store = nullptr;       ///< nullptr = caching off
   const CancelToken* token = nullptr;      ///< optional cooperative cancel
-  std::size_t jobs = 0;                    ///< worker hint for drivers (0 = auto)
   /// TTL for negative caching of synth-failed/timeout outcomes (0 = off).
   /// Timeout entries only shield requests whose budget is <= the budget
   /// that timed out, so raising a request's budget still recomputes.
   double negative_ttl_seconds = 0.0;
   obs::Registry* registry = &obs::Registry::global();
 
-  /// $SPIV_CACHE_DIR store, $SPIV_JOBS hint, $SPIV_NEG_TTL negative-cache
-  /// TTL.
+  /// $SPIV_CACHE_DIR store, $SPIV_NEG_TTL negative-cache TTL.
   [[nodiscard]] static VerifyContext from_env();
 };
 

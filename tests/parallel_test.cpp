@@ -1,6 +1,7 @@
 // Tests for the parallel experiment harness: SPIV_JOBS resolution, the
-// work-stealing JobPool, the determinism contract of run_table1, and
-// cooperative cancellation of the exact kernels.
+// work-stealing JobPool, fan-out on the caller's pool (nesting, thread
+// identity), the determinism contract of run_table1, and cooperative
+// cancellation of the exact kernels.
 #include "core/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -10,12 +11,14 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "core/experiments.hpp"
 #include "exact/lyapunov_exact.hpp"
 #include "exact/timeout.hpp"
+#include "tick_clock.hpp"
 
 namespace spiv::core {
 namespace {
@@ -186,14 +189,34 @@ TEST(JobPool, SequentialJobsReuseTheMostRecentlyIdleWorker) {
   EXPECT_NE(ran.front(), std::this_thread::get_id());
 }
 
+TEST(JobPool, OnlyIfIdleSubmitsReachEveryWorkerOfAFreshPool) {
+  // Workers count as idle from construction, before their threads run: a
+  // fan-out right after a pool is built still finds its helpers.
+  constexpr std::size_t kThreads = 3;
+  JobPool pool{kThreads};
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool released = false;
+  const auto blocker = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return released; });
+  };
+  for (std::size_t i = 0; i < kThreads; ++i)
+    EXPECT_TRUE(pool.submit(blocker, /*only_if_idle=*/true)) << i;
+  // Every worker now holds a blocked job: none is idle.
+  EXPECT_FALSE(pool.submit([] {}, /*only_if_idle=*/true));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+}
+
 TEST(ForEachJob, CoversEveryIndexOnceSerialAndParallel) {
   for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     std::vector<int> hits(100, 0);
-    for_each_job(hits.size(), jobs,
-                 [&hits](std::size_t i, const CancelToken& token) {
-                   EXPECT_FALSE(token.cancelled());
-                   hits[i] += 1;
-                 });
+    for_each_job(hits.size(), jobs, [&hits](std::size_t i) { hits[i] += 1; });
     for (std::size_t i = 0; i < hits.size(); ++i)
       EXPECT_EQ(hits[i], 1) << "jobs=" << jobs << " i=" << i;
   }
@@ -205,20 +228,86 @@ TEST(ForEachBlock, PartitionsTheRangeExactlyOnce) {
                           std::size_t{7}, std::size_t{100}}) {
       std::vector<int> hits(n, 0);
       std::atomic<std::size_t> blocks{0};
-      for_each_block(n, jobs,
-                     [&](std::size_t begin, std::size_t end,
-                         const CancelToken& token) {
-                       EXPECT_FALSE(token.cancelled());
-                       EXPECT_LT(begin, end);
-                       blocks.fetch_add(1);
-                       for (std::size_t i = begin; i < end; ++i) hits[i] += 1;
-                     });
+      for_each_block(n, jobs, [&](std::size_t begin, std::size_t end) {
+        EXPECT_LT(begin, end);
+        blocks.fetch_add(1);
+        for (std::size_t i = begin; i < end; ++i) hits[i] += 1;
+      });
       for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i], 1) << "jobs=" << jobs << " n=" << n << " i=" << i;
       EXPECT_LE(blocks.load(), jobs) << "jobs=" << jobs << " n=" << n;
       if (n > 0) EXPECT_GE(blocks.load(), 1u);
     }
   }
+}
+
+// A for_each_block nested in for_each_job bodies, each index counted.
+// Returns the per-(outer, inner) hit counts.
+std::vector<int> nested_hits(std::size_t jobs) {
+  constexpr std::size_t kOuter = 6, kInner = 37;
+  std::vector<int> hits(kOuter * kInner, 0);
+  for_each_job(kOuter, jobs, [&](std::size_t o) {
+    for_each_block(kInner, jobs, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) hits[o * kInner + i] += 1;
+    });
+  });
+  return hits;
+}
+
+TEST(NestedFanOut, CoversEveryIndexOnceInsideJobsAndPoolJobs) {
+  for (std::size_t jobs = 1; jobs <= 8; ++jobs) {
+    for (int hit : nested_hits(jobs)) EXPECT_EQ(hit, 1) << "jobs=" << jobs;
+    // The same nest from inside jobs of a pool that is itself busy.
+    JobPool pool{3};
+    std::vector<std::vector<int>> from_pool(4);
+    for (auto& slot : from_pool)
+      pool.submit([&slot, jobs] { slot = nested_hits(jobs); });
+    pool.wait_idle();
+    for (const auto& hits : from_pool) {
+      ASSERT_EQ(hits.size(), 6u * 37u);
+      for (int hit : hits) EXPECT_EQ(hit, 1) << "pool, jobs=" << jobs;
+    }
+  }
+}
+
+TEST(NestedFanOut, FanOutFromAPoolWorkerRunsOnlyOnThatPoolsThreads) {
+  constexpr std::size_t kThreads = 4;
+  JobPool pool{kThreads};
+  // Learn the pool's thread ids: kThreads jobs that rendezvous, so each
+  // worker runs exactly one (and all are parked again afterwards).
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  std::set<std::thread::id> pool_ids;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      pool_ids.insert(std::this_thread::get_id());
+      if (++arrived == kThreads) cv.notify_all();
+      cv.wait(lock, [&] { return arrived == kThreads; });
+    });
+  pool.wait_idle();
+  ASSERT_EQ(pool_ids.size(), kThreads);
+
+  // A 64-wide fan-out from one worker.  Index 0 waits until a second
+  // thread has joined in, so the fan-out provably used a helper; the
+  // other kThreads - 1 workers are idle, so one is offered.
+  std::vector<std::thread::id> ran(64);
+  std::set<std::thread::id> seen;
+  pool.submit([&] {
+    for_each_job(ran.size(), kThreads, [&](std::size_t i) {
+      ran[i] = std::this_thread::get_id();
+      std::unique_lock<std::mutex> lock(mutex);
+      seen.insert(ran[i]);
+      cv.notify_all();
+      if (i == 0) cv.wait(lock, [&] { return seen.size() >= 2; });
+    });
+  });
+  pool.wait_idle();
+  EXPECT_GE(seen.size(), 2u);
+  for (const std::thread::id& id : ran)
+    EXPECT_EQ(pool_ids.count(id), 1u) << "fan-out ran on a thread outside "
+                                         "the caller's pool";
 }
 
 // ------------------------------------------------------------ determinism
@@ -310,17 +399,51 @@ TEST(Cancellation, SlowExactSolveTimesOutWithinTwiceDeadline) {
       << "deadline polling is too coarse: " << elapsed << " s";
 }
 
+// Cancels a token once the tick clock has been read kCancelRead times
+// (0.2 s of tick time).  Reads from then on wait for the cancel, so no
+// budget can run out first and the elapsed tick time cannot drift with
+// thread scheduling.
+class CancelAtRead {
+ public:
+  static constexpr std::int64_t kCancelRead = 200;
+
+  explicit CancelAtRead(CancelToken token) : token_(std::move(token)) {}
+
+  void on_read(std::int64_t tick) {
+    if (tick < kCancelRead) return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    reached_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return token_.cancelled(); });
+  }
+
+  /// Block until the kCancelRead-th read, then cancel.  Call from a
+  /// thread that reads no clock.
+  void cancel_at_read() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return reached_; });
+    token_.cancel();
+    cv_.notify_all();
+  }
+
+ private:
+  CancelToken token_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool reached_ = false;
+};
+
 TEST(Cancellation, TokenCancelledFromAnotherThreadStopsSolve) {
   const exact::RatMatrix a = slow_stable_matrix(kSlowSize);
   const exact::RatMatrix q = exact::RatMatrix::identity(kSlowSize);
   CancelToken token;
-  // No wall-clock budget at all: only the token can stop this solve.
-  const Deadline deadline = Deadline{}.with_token(token);
-  const auto t0 = Clock::now();
-  std::thread canceller([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    token.cancel();
-  });
+  CancelAtRead cancel{token};
+  ScopedTickClock clock{[&cancel](std::int64_t t) { cancel.on_read(t); }};
+  // A saturated budget never runs out (only the token can stop this
+  // solve), but unlike Deadline{} every poll reads the clock.
+  const Deadline deadline = Deadline::after_seconds(1e18, token);
+  const auto t0 = time_source::now();
+  std::thread canceller([&cancel] { cancel.cancel_at_read(); });
   EXPECT_THROW(
       {
         auto p = exact::solve_lyapunov_exact(a, q, deadline);
@@ -328,28 +451,30 @@ TEST(Cancellation, TokenCancelledFromAnotherThreadStopsSolve) {
       },
       TimeoutError);
   canceller.join();
-  const double elapsed = seconds_since(t0);
+  const double elapsed = time_source::seconds_since(t0);
   EXPECT_LE(elapsed, 2.0) << "cancel took " << elapsed
-                          << " s to be observed";
+                          << " s of tick time to be observed";
 }
 
-TEST(Cancellation, PoolCancelAllPreemptsQueuedDeadlines) {
+TEST(Cancellation, SharedTokenPreemptsQueuedDeadlines) {
+  CancelToken token;
+  CancelAtRead cancel{token};
+  ScopedTickClock clock{[&cancel](std::int64_t t) { cancel.on_read(t); }};
   JobPool pool{2};
   std::atomic<int> timeouts{0};
   for (int i = 0; i < 2; ++i)
-    pool.submit([&pool, &timeouts] {
+    pool.submit([&token, &timeouts] {
       const exact::RatMatrix a = slow_stable_matrix(kSlowSize);
       const exact::RatMatrix q = exact::RatMatrix::identity(kSlowSize);
       try {
         auto p = exact::solve_lyapunov_exact(
-            a, q, Deadline::after_seconds(60.0, pool.token()));
+            a, q, Deadline::after_seconds(60.0, token));
         (void)p;
       } catch (const TimeoutError&) {
         timeouts.fetch_add(1, std::memory_order_relaxed);
       }
     });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  pool.cancel_all();
+  cancel.cancel_at_read();
   pool.wait_idle();
   EXPECT_EQ(timeouts.load(), 2);
 }

@@ -7,8 +7,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -347,6 +349,55 @@ TEST_F(ServiceTest, MaxInflightShedsWithBusyOnStdin) {
   EXPECT_EQ(busy, 2u) << transcript;
   EXPECT_EQ(results, 1u) << transcript;
   EXPECT_NE(transcript.find("idle"), std::string::npos);
+}
+
+TEST_F(ServiceTest, MaxQueueDepthCountsRequestsNotFanOutJobs) {
+  // Every JobPool in the process feeds the spiv_pool_queue_depth gauge.
+  // Hold it at 1 for the whole test with a queued job on another pool
+  // (standing in for a solver fan-out's queued helper): admission must
+  // count only the Engine's own waiting requests.
+  core::JobPool other{1};
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool released = false;
+  other.submit([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return released; });
+  });
+  other.submit([] {});  // queued behind the blocker
+
+  ServeOptions options;
+  options.jobs = 2;
+  options.max_queue_depth = 1;
+  std::atomic<int> covered{0};
+  options.handler = [&covered](const Request& req, store::CertStore*, double,
+                               const CancelToken&) {
+    std::vector<int> hits(8, 0);
+    core::for_each_job(8, 8, [&hits](std::size_t i) { hits[i] += 1; });
+    if (std::count(hits.begin(), hits.end(), 1) == 8) covered.fetch_add(1);
+    return Response{verify::Status::Valid,
+                    "result id=" + std::to_string(req.id) + " status=valid"};
+  };
+  std::string script;
+  for (int i = 0; i < 6; ++i)
+    script += "verify a 0 eq-num - sylvester 10\nwait\n";
+  const std::string transcript = drive_with(options, script + "quit\n");
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+  }
+  cv.notify_all();
+  other.wait_idle();
+
+  std::size_t busy = 0, results = 0;
+  std::istringstream is{transcript};
+  for (std::string line; std::getline(is, line);) {
+    if (line.rfind("busy id=", 0) == 0) ++busy;
+    if (line.rfind("result id=", 0) == 0) ++results;
+  }
+  EXPECT_EQ(busy, 0u) << transcript;
+  EXPECT_EQ(results, 6u) << transcript;
+  EXPECT_EQ(covered.load(), 6);
 }
 
 TEST_F(ServiceTest, BinaryGarbageOnStdinEarnsErrorLinesAndKeepsServing) {
