@@ -41,11 +41,12 @@ void BM_BigIntMultiply(benchmark::State& state) {
 BENCHMARK(BM_BigIntMultiply)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_BigIntGcd(benchmark::State& state) {
-  // range(1) == 0: operands sharing a large common factor — the shape
-  // Rational cross-cancellation feeds gcd() (range(0) powers of a 60-bit
-  // base).  range(1) == 1: coprime random operands of range(0) 32-bit
-  // limbs — the det-sized pairs of the modular solver's shared-denominator
-  // reconstruction (350 limbs ~ 11.2k bits, a size-15 vech determinant).
+  // range(1) == 0: operands sharing a large common factor, the shape
+  // Rational cross-cancellation feeds gcd(): a 60-bit base to the power
+  // range(0) (about 60, 240 and 960 bits) times a 30-bit prime.
+  // range(1) == 1: coprime random operands of 32 * range(0) bits (350 ->
+  // 11.2k bits, a size-15 vech determinant), the det-sized pairs of the
+  // modular solver's shared-denominator reconstruction.
   const auto n = static_cast<unsigned>(state.range(0));
   exact::BigInt a, b;
   if (state.range(1) == 0) {
@@ -71,9 +72,10 @@ BENCHMARK(BM_BigIntGcd)
     ->Args({350, 1});
 
 void BM_BigIntSmallVecAddMul(benchmark::State& state) {
-  // The small-operand fast paths of the pooled-limb BigInt: Arg(1) stays on
-  // the u64/__int128 word paths, Arg(4) fills the four inline limbs without
-  // touching the heap pool.  This is the shape of CRT delta arithmetic.
+  // The small-operand paths of the pooled-limb BigInt, the shape of CRT
+  // delta arithmetic.  Arg(1): 27- and 30-bit operands, all on the
+  // one-word int128 fast paths.  Arg(4): 108- and 120-bit operands, held
+  // inline (below 2^128), whose 228-bit product takes a pooled block.
   const auto limbs = static_cast<unsigned>(state.range(0));
   const exact::BigInt a = exact::BigInt{"123456789"}.pow(limbs);
   const exact::BigInt b = exact::BigInt{"987654321"}.pow(limbs);
@@ -85,6 +87,25 @@ void BM_BigIntSmallVecAddMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BigIntSmallVecAddMul)->Arg(1)->Arg(4);
+
+void BM_BigIntDivMod(benchmark::State& state) {
+  // One quotient-and-remainder of a range(0)-bit by a range(1)-bit random
+  // operand: 38k/27k and 27k/11k bits are the reconstruction shapes of the
+  // size-15 eq-smt solve (Knuth algorithm D).
+  std::mt19937_64 rng{static_cast<std::uint64_t>(state.range(0))};
+  auto random_bits = [&rng](std::int64_t bits) {
+    exact::BigInt v{1};
+    for (std::int64_t b = 1; b < bits; b += 32)
+      v = v.shifted_left(32) +
+          exact::BigInt{static_cast<std::int64_t>(rng() >> 32)};
+    return v.shifted_right(v.bit_length() - static_cast<std::size_t>(bits));
+  };
+  const exact::BigInt num = random_bits(state.range(0));
+  const exact::BigInt den = random_bits(state.range(1));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(exact::BigInt::div_mod(num, den));
+}
+BENCHMARK(BM_BigIntDivMod)->Args({38000, 27000})->Args({27000, 11000});
 
 void BM_CrtFold(benchmark::State& state) {
   // One product-tree batch fold of range(0) fresh primes into the 171

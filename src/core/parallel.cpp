@@ -101,7 +101,7 @@ bool JobPool::submit(Job job, bool only_if_idle) {
     // Pushed under signal_mutex_, so a worker deciding to park (which
     // checks any_work() under it too) cannot miss this job.
     std::lock_guard<std::mutex> wlock(workers_[target]->mutex);
-    workers_[target]->jobs.push_back(std::move(job));
+    workers_[target]->jobs.push_back({std::move(job), only_if_idle});
   }
   queue_depth_.add(1);
   workers_[target]->wake.notify_one();
@@ -121,7 +121,7 @@ bool JobPool::any_work() const {
   return false;
 }
 
-bool JobPool::try_pop(std::size_t self, Job& out) {
+bool JobPool::try_pop(std::size_t self, Task& out) {
   // Own deque first (LIFO end for locality) ...
   {
     Worker& w = *workers_[self];
@@ -153,19 +153,31 @@ bool JobPool::try_pop(std::size_t self, Job& out) {
 void JobPool::run_worker(std::size_t self) {
   t_pool = this;
   Worker& me = *workers_[self];
+  bool ran_own = false;  // a non-helper job since this worker last parked
   for (;;) {
-    Job job;
-    const bool ran = try_pop(self, job);
+    Task task;
+    const bool ran = try_pop(self, task);
     if (ran) {
-      job();
-      job = nullptr;  // release captures before the job counts as done
+      task.job();
+      task.job = nullptr;  // release captures before the job counts as done
+      ran_own = ran_own || !task.helper;
       jobs_executed_.add(1);
     }
     std::unique_lock<std::mutex> lock(signal_mutex_);
     if (ran && --pending_ == 0) idle_cv_.notify_all();
     if (any_work()) continue;
     if (stop_) return;
-    if (!me.parked) idle_.push_back(self);
+    if (!me.parked) {
+      // idle_ stays in last_own order; a helper-only stretch keeps the
+      // worker's old rank.
+      if (ran_own) me.last_own = ++own_jobs_;
+      idle_.insert(std::upper_bound(idle_.begin(), idle_.end(), me.last_own,
+                                    [this](std::uint64_t v, std::size_t w) {
+                                      return v < workers_[w]->last_own;
+                                    }),
+                   self);
+    }
+    ran_own = false;
     me.parked = true;
     me.wake.wait(lock, [this, &me] { return stop_ || !me.parked; });
   }

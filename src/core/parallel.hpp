@@ -20,6 +20,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -56,11 +57,14 @@ class JobPool {
   JobPool(const JobPool&) = delete;
   JobPool& operator=(const JobPool&) = delete;
 
-  /// Enqueue a job.  It goes to the worker that went idle most recently,
-  /// so a lone sequential caller keeps reusing one warm worker (its
-  /// caches and its malloc arena); with every worker busy, it goes
-  /// round-robin onto their deques and idle workers steal it — or, with
-  /// `only_if_idle`, is dropped and submit returns false.
+  /// Enqueue a job.  It goes to the idle worker that most recently
+  /// finished a job of its own, so a lone sequential caller keeps reusing
+  /// one warm worker (its caches and its malloc arena); with every worker
+  /// busy, it goes round-robin onto their deques and idle workers steal
+  /// it — or, with `only_if_idle`, is dropped and submit returns false.
+  /// An `only_if_idle` job is a fan-out helper and does not count as the
+  /// worker's own: a helper that finishes after its caller (it woke late,
+  /// or its index ran long) parks below the caller, not on top of it.
   bool submit(Job job, bool only_if_idle = false);
 
   /// Block until every submitted job has finished.
@@ -69,15 +73,22 @@ class JobPool {
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
  private:
+  struct Task {
+    Job job;
+    bool helper;  ///< submitted with only_if_idle
+  };
   struct Worker {
     std::mutex mutex;
-    std::deque<Job> jobs;
+    std::deque<Task> jobs;
     std::condition_variable wake;  ///< handed a job, or stop
     bool parked = true;  ///< on idle_, as from the start (signal_mutex_)
+    /// own_jobs_ when this worker last parked after a non-helper job; 0
+    /// if it never ran one (signal_mutex_).
+    std::uint64_t last_own = 0;
   };
 
   void run_worker(std::size_t self);
-  bool try_pop(std::size_t self, Job& out);
+  bool try_pop(std::size_t self, Task& out);
   [[nodiscard]] bool any_work() const;
 
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -86,10 +97,12 @@ class JobPool {
   std::condition_variable idle_cv_;  ///< wait_idle: pending reached zero
   std::size_t pending_ = 0;          ///< submitted but not yet finished
   bool stop_ = false;
-  /// Parked workers, most recently idle last.  A worker parks in the same
-  /// critical section that retires its last job, so once wait_idle
-  /// returns, the worker that finished last is on top.
+  /// Parked workers in ascending Worker::last_own order, so the one that
+  /// most recently finished a non-helper job is on top.  A worker parks in
+  /// the same critical section that retires its last job, so once
+  /// wait_idle returns, that order is settled.
   std::vector<std::size_t> idle_;
+  std::uint64_t own_jobs_ = 0;  ///< parks after a non-helper job so far
   std::size_t next_worker_ = 0;  ///< round-robin cursor when none is idle
   // Pool observability (global registry, shared by every pool in the
   // process): resolved once here so the submit/pop path never locks it.

@@ -17,11 +17,11 @@ namespace {
 // keeps up to kBinCap retired blocks for reuse.  Blocks outside the binned
 // range (or overflowing a bin) go straight to new[]/delete[].
 struct Pool {
-  static constexpr unsigned kMinShift = 3;   // 8 limbs  (32 bytes)
-  static constexpr unsigned kMaxShift = 12;  // 4096 limbs (16 KiB)
+  static constexpr unsigned kMinShift = 2;   // 4 limbs    (32 bytes)
+  static constexpr unsigned kMaxShift = 11;  // 2048 limbs (16 KiB)
   static constexpr std::size_t kBinCap = 8;
   struct Bin {
-    std::uint32_t* blocks[kBinCap];
+    std::uint64_t* blocks[kBinCap];
     std::size_t count = 0;
   };
   Bin bins[kMaxShift - kMinShift + 1];
@@ -49,7 +49,7 @@ struct PoolOwner {
 };
 
 // `cap` must be a power of two.
-std::uint32_t* pool_acquire(std::size_t cap) {
+std::uint64_t* pool_acquire(std::size_t cap) {
   const unsigned shift = static_cast<unsigned>(std::countr_zero(cap));
   if (shift >= Pool::kMinShift && shift <= Pool::kMaxShift) {
     if (g_pool_slot.pool == nullptr && !g_pool_slot.dead) {
@@ -61,10 +61,10 @@ std::uint32_t* pool_acquire(std::size_t cap) {
       if (bin.count > 0) return bin.blocks[--bin.count];
     }
   }
-  return new std::uint32_t[cap];
+  return new std::uint64_t[cap];
 }
 
-void pool_release(std::uint32_t* block, std::size_t cap) noexcept {
+void pool_release(std::uint64_t* block, std::size_t cap) noexcept {
   const unsigned shift = static_cast<unsigned>(std::countr_zero(cap));
   if (shift >= Pool::kMinShift && shift <= Pool::kMaxShift) {
     if (Pool* p = g_pool_slot.pool) {
@@ -97,32 +97,50 @@ void LimbVec::release() noexcept {
 
 }  // namespace detail
 
+// Two inline limbs keep every value below 2^128 off the heap at the
+// size of four pointers.
+static_assert(sizeof(BigInt) == 32);
+
 namespace {
+
+using Limb = std::uint64_t;
+using DoubleLimb = unsigned __int128;
+
 // Limb count at which mul_magnitude switches from schoolbook to Karatsuba.
-// Tuned 2026-08 on an x86-64 core (gcc -O2) by timing balanced random
-// products at 16..512 limbs across thresholds {12, 16, 24, 32, 48, 64, 96,
-// 128, 192, 256}; total bench seconds were 0.62 / 0.59 / 0.37 / 0.35 /
-// 0.25 / 0.24 / 0.19 / 0.186 / 0.19 / 0.19.  The schoolbook inner loop
-// (32-bit limbs accumulated in 64-bit) beats this Karatsuba's split/alloc
-// overhead until well past 100 limbs: at 128 limbs pure schoolbook runs
-// 10.7us vs 12.4us for Karatsuba-with-base-48, and only at 512 limbs does
-// recursion still pay (131us with base 128 vs 138us with base 256).  128
-// was the sweep minimum; the curve is flat within noise from 96 up.
-// Overridable (-DSPIV_KARATSUBA_THRESHOLD=N) for re-tuning on new hardware.
-#ifndef SPIV_KARATSUBA_THRESHOLD
-#define SPIV_KARATSUBA_THRESHOLD 128
-#endif
-constexpr std::size_t kKaratsubaThreshold = SPIV_KARATSUBA_THRESHOLD;
+// Tuned on a 4-core x86-64 VM (gcc -O3) by timing balanced random
+// products of 16..512 64-bit limbs across thresholds {16, 24, 32, 48, 64,
+// 96, 128, never}; summed best-of-3 times were 390 / 308 / 291 / 283 /
+// 281 / 313 / 330 / 563 us.  64 was the sweep minimum; the curve is flat
+// within 3% from 32 to 64 (EXPERIMENTS.md, "Karatsuba threshold").
+constexpr std::size_t kKaratsubaThreshold = 64;
+
+/// a + b + carry; carry in and out is 0 or 1.
+inline Limb add_carry(Limb a, Limb b, Limb& carry) {
+  const DoubleLimb s = static_cast<DoubleLimb>(a) + b + carry;
+  carry = static_cast<Limb>(s >> 64);
+  return static_cast<Limb>(s);
+}
+
+/// a - b - borrow; borrow in and out is 0 or 1.
+inline Limb sub_borrow(Limb a, Limb b, Limb& borrow) {
+  const DoubleLimb d = static_cast<DoubleLimb>(a) - b - borrow;
+  borrow = static_cast<Limb>(d >> 64) & 1;
+  return static_cast<Limb>(d);
+}
+
+void trim_limbs(detail::LimbVec& v) {
+  while (!v.empty() && v.back() == 0) v.pop_back();
+}
+
 }  // namespace
 
 BigInt::BigInt(std::int64_t v) {
   if (v == 0) return;
   negative_ = v < 0;
   // Avoid UB on INT64_MIN: negate in unsigned space.
-  std::uint64_t mag =
+  const std::uint64_t mag =
       negative_ ? ~static_cast<std::uint64_t>(v) + 1 : static_cast<std::uint64_t>(v);
-  limbs_.push_back(static_cast<Limb>(mag & 0xffffffffu));
-  if (mag >> 32) limbs_.push_back(static_cast<Limb>(mag >> 32));
+  limbs_.push_back(mag);
 }
 
 BigInt::BigInt(std::string_view decimal) {
@@ -133,28 +151,34 @@ BigInt::BigInt(std::string_view decimal) {
     ++i;
   }
   if (i == decimal.size()) throw std::invalid_argument("BigInt: empty numeral");
+  // 18 digits at a time (10^18 < 2^63): acc = acc * 10^k + chunk.
   BigInt acc;
-  const BigInt ten{10};
-  for (; i < decimal.size(); ++i) {
-    char c = decimal[i];
-    if (c < '0' || c > '9')
-      throw std::invalid_argument("BigInt: invalid character in numeral");
-    acc *= ten;
-    acc += BigInt{c - '0'};
+  while (i < decimal.size()) {
+    const std::size_t k = std::min<std::size_t>(18, decimal.size() - i);
+    std::int64_t chunk = 0, scale = 1;
+    for (std::size_t e = i + k; i < e; ++i) {
+      const char c = decimal[i];
+      if (c < '0' || c > '9')
+        throw std::invalid_argument("BigInt: invalid character in numeral");
+      chunk = chunk * 10 + (c - '0');
+      scale *= 10;
+    }
+    acc *= BigInt{scale};
+    acc += BigInt{chunk};
   }
   limbs_ = std::move(acc.limbs_);
   negative_ = neg && !limbs_.empty();
 }
 
 void BigInt::trim() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
+  trim_limbs(limbs_);
   if (limbs_.empty()) negative_ = false;
 }
 
 void BigInt::set_mag_u128(unsigned __int128 mag, bool negative) {
   limbs_.clear();
   while (mag != 0) {
-    limbs_.push_back(static_cast<Limb>(mag & 0xffffffffu));
+    limbs_.push_back(static_cast<Limb>(mag));
     mag >>= kLimbBits;
   }
   negative_ = negative && !limbs_.empty();
@@ -162,13 +186,8 @@ void BigInt::set_mag_u128(unsigned __int128 mag, bool negative) {
 
 std::size_t BigInt::bit_length() const {
   if (limbs_.empty()) return 0;
-  std::size_t bits = (limbs_.size() - 1) * kLimbBits;
-  Limb top = limbs_.back();
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return (limbs_.size() - 1) * kLimbBits +
+         static_cast<std::size_t>(std::bit_width(limbs_.back()));
 }
 
 BigInt BigInt::abs() const {
@@ -191,64 +210,68 @@ int BigInt::compare_magnitude(const Limbs& a, const Limbs& b) {
   return 0;
 }
 
-BigInt::Limbs BigInt::add_magnitude(const Limbs& a, const Limbs& b) {
-  const auto& longer = a.size() >= b.size() ? a : b;
-  const auto& shorter = a.size() >= b.size() ? b : a;
-  Limbs out;
-  out.reserve(longer.size() + 1);
-  DoubleLimb carry = 0;
-  for (std::size_t i = 0; i < longer.size(); ++i) {
-    DoubleLimb s = carry + longer[i];
-    if (i < shorter.size()) s += shorter[i];
-    out.push_back(static_cast<Limb>(s & 0xffffffffu));
-    carry = s >> 32;
-  }
-  if (carry) out.push_back(static_cast<Limb>(carry));
-  return out;
+void BigInt::add_magnitude(Limbs& a, const Limbs& b) {
+  const std::size_t nb = b.size();
+  const std::size_t n = std::max(a.size(), nb);
+  // Only a shorter a grows here, and then b is not a; b may alias a.
+  a.resize(n, 0);
+  Limb* pa = a.data();
+  const Limb* pb = b.data();
+  Limb carry = 0;
+  std::size_t i = 0;
+  for (; i < nb; ++i) pa[i] = add_carry(pa[i], pb[i], carry);
+  for (; carry != 0 && i < n; ++i) pa[i] = add_carry(pa[i], 0, carry);
+  if (carry != 0) a.push_back(carry);
 }
 
-BigInt::Limbs BigInt::sub_magnitude(const Limbs& a, const Limbs& b) {
-  Limbs out;
-  out.reserve(a.size());
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::int64_t d = static_cast<std::int64_t>(a[i]) - borrow -
-                     (i < b.size() ? static_cast<std::int64_t>(b[i]) : 0);
-    if (d < 0) {
-      d += (std::int64_t{1} << 32);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.push_back(static_cast<Limb>(d));
-  }
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return out;
+void BigInt::sub_magnitude(Limbs& a, const Limbs& b) {
+  Limb* pa = a.data();
+  const Limb* pb = b.data();
+  const std::size_t nb = b.size();
+  Limb borrow = 0;
+  std::size_t i = 0;
+  for (; i < nb; ++i) pa[i] = sub_borrow(pa[i], pb[i], borrow);
+  for (; borrow != 0; ++i) pa[i] = sub_borrow(pa[i], 0, borrow);
+  trim_limbs(a);
+}
+
+void BigInt::rsub_magnitude(Limbs& a, const Limbs& b) {
+  const std::size_t na = a.size();
+  const std::size_t nb = b.size();
+  a.resize(nb, 0);
+  Limb* pa = a.data();
+  const Limb* pb = b.data();
+  Limb borrow = 0;
+  std::size_t i = 0;
+  for (; i < na; ++i) pa[i] = sub_borrow(pb[i], pa[i], borrow);
+  for (; i < nb; ++i) pa[i] = sub_borrow(pb[i], 0, borrow);
+  trim_limbs(a);
 }
 
 BigInt::Limbs BigInt::mul_schoolbook(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return {};
   // Exact-size construction: a.size()+b.size() limbs always suffices, so
   // this single allocation is the only one the whole routine performs.
-  Limbs out(a.size() + b.size(), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    DoubleLimb carry = 0;
-    DoubleLimb ai = a[i];
+  const std::size_t na = a.size(), nb = b.size();
+  Limbs out(na + nb, 0);
+  Limb* po = out.data();
+  const Limb* pa = a.data();
+  const Limb* pb = b.data();
+  for (std::size_t i = 0; i < na; ++i) {
+    const Limb ai = pa[i];
     if (ai == 0) continue;  // sparse operands (powers of ten, shifts)
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      DoubleLimb cur = static_cast<DoubleLimb>(out[i + j]) + ai * b[j] + carry;
-      out[i + j] = static_cast<Limb>(cur & 0xffffffffu);
-      carry = cur >> 32;
+    Limb carry = 0;
+    Limb* row = po + i;
+    for (std::size_t j = 0; j < nb; ++j) {
+      const DoubleLimb cur =
+          static_cast<DoubleLimb>(ai) * pb[j] + row[j] + carry;
+      row[j] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
     }
-    std::size_t k = i + b.size();
-    while (carry) {
-      DoubleLimb cur = static_cast<DoubleLimb>(out[k]) + carry;
-      out[k] = static_cast<Limb>(cur & 0xffffffffu);
-      carry = cur >> 32;
-      ++k;
-    }
+    // Rows before i reach at most limb i + nb - 1, so this one is free.
+    row[nb] = carry;
   }
-  while (!out.empty() && out.back() == 0) out.pop_back();
+  trim_limbs(out);
   return out;
 }
 
@@ -260,40 +283,32 @@ BigInt::Limbs BigInt::mul_karatsuba(const Limbs& a, const Limbs& b) {
     Limbs lo(v.begin(), v.begin() + std::min(half, v.size()));
     Limbs hi;
     if (v.size() > half) hi.assign(v.begin() + half, v.end());
-    while (!lo.empty() && lo.back() == 0) lo.pop_back();
+    trim_limbs(lo);
     return {std::move(lo), std::move(hi)};
   };
   auto [a0, a1] = split(a);
   auto [b0, b1] = split(b);
   Limbs z0 = mul_karatsuba(a0, b0);
   Limbs z2 = mul_karatsuba(a1, b1);
-  Limbs sa = add_magnitude(a0, a1);
-  Limbs sb = add_magnitude(b0, b1);
-  Limbs z1 = mul_karatsuba(sa, sb);
-  z1 = sub_magnitude(z1, z0);
-  z1 = sub_magnitude(z1, z2);
-  // result = z0 + z1 << (32*half) + z2 << (64*half)
+  add_magnitude(a0, a1);
+  add_magnitude(b0, b1);
+  Limbs z1 = mul_karatsuba(a0, b0);
+  sub_magnitude(z1, z0);
+  sub_magnitude(z1, z2);
+  // result = z0 + z1 << (64*half) + z2 << (128*half)
   Limbs out(std::max({z0.size(), z1.size() + half, z2.size() + 2 * half}) + 1,
             0);
-  auto add_at = [&out](const Limbs& v, std::size_t off) {
-    DoubleLimb carry = 0;
+  Limb* po = out.data();
+  auto add_at = [po](const Limbs& v, std::size_t off) {
+    Limb carry = 0;
     std::size_t i = 0;
-    for (; i < v.size(); ++i) {
-      DoubleLimb cur = static_cast<DoubleLimb>(out[off + i]) + v[i] + carry;
-      out[off + i] = static_cast<Limb>(cur & 0xffffffffu);
-      carry = cur >> 32;
-    }
-    while (carry) {
-      DoubleLimb cur = static_cast<DoubleLimb>(out[off + i]) + carry;
-      out[off + i] = static_cast<Limb>(cur & 0xffffffffu);
-      carry = cur >> 32;
-      ++i;
-    }
+    for (; i < v.size(); ++i) po[off + i] = add_carry(po[off + i], v[i], carry);
+    for (; carry != 0; ++i) po[off + i] = add_carry(po[off + i], 0, carry);
   };
   add_at(z0, 0);
   add_at(z1, half);
   add_at(z2, 2 * half);
-  while (!out.empty() && out.back() == 0) out.pop_back();
+  trim_limbs(out);
   return out;
 }
 
@@ -304,7 +319,7 @@ BigInt::Limbs BigInt::mul_magnitude(const Limbs& a, const Limbs& b) {
 }
 
 BigInt& BigInt::add_signed(const BigInt& rhs, bool rhs_negative) {
-  if (limbs_.size() <= 2 && rhs.limbs_.size() <= 2) {
+  if (limbs_.size() <= 1 && rhs.limbs_.size() <= 1) {
     __int128 a = static_cast<__int128>(mag_u64());
     if (negative_) a = -a;
     __int128 b = static_cast<__int128>(rhs.mag_u64());
@@ -316,20 +331,19 @@ BigInt& BigInt::add_signed(const BigInt& rhs, bool rhs_negative) {
     return *this;
   }
   if (negative_ == rhs_negative) {
-    limbs_ = add_magnitude(limbs_, rhs.limbs_);
-  } else {
-    int cmp = compare_magnitude(limbs_, rhs.limbs_);
-    if (cmp == 0) {
-      limbs_.clear();
-      negative_ = false;
-    } else if (cmp > 0) {
-      limbs_ = sub_magnitude(limbs_, rhs.limbs_);
-    } else {
-      limbs_ = sub_magnitude(rhs.limbs_, limbs_);
-      negative_ = rhs_negative;
-    }
+    add_magnitude(limbs_, rhs.limbs_);
+    return *this;
   }
-  trim();
+  const int cmp = compare_magnitude(limbs_, rhs.limbs_);
+  if (cmp == 0) {
+    limbs_.clear();
+    negative_ = false;
+  } else if (cmp > 0) {
+    sub_magnitude(limbs_, rhs.limbs_);
+  } else {
+    rsub_magnitude(limbs_, rhs.limbs_);
+    negative_ = rhs_negative;
+  }
   return *this;
 }
 
@@ -342,7 +356,7 @@ BigInt& BigInt::operator-=(const BigInt& rhs) {
 }
 
 BigInt& BigInt::operator*=(const BigInt& rhs) {
-  if (limbs_.size() <= 2 && rhs.limbs_.size() <= 2) {
+  if (limbs_.size() <= 1 && rhs.limbs_.size() <= 1) {
     const unsigned __int128 p =
         static_cast<unsigned __int128>(mag_u64()) * rhs.mag_u64();
     set_mag_u128(p, negative_ != rhs.negative_);
@@ -361,106 +375,115 @@ std::pair<BigInt::Limbs, BigInt::Limbs> BigInt::divmod_magnitude(
   if (den.size() == 1) {
     // Fast path: single-limb divisor.
     Limbs quot(num.size(), 0);
-    DoubleLimb rem = 0;
-    DoubleLimb d = den[0];
+    Limb rem = 0;
+    const Limb d = den[0];
     for (std::size_t i = num.size(); i-- > 0;) {
-      DoubleLimb cur = (rem << 32) | num[i];
+      const DoubleLimb cur = (static_cast<DoubleLimb>(rem) << 64) | num[i];
       quot[i] = static_cast<Limb>(cur / d);
-      rem = cur % d;
+      rem = static_cast<Limb>(cur % d);
     }
-    while (!quot.empty() && quot.back() == 0) quot.pop_back();
+    trim_limbs(quot);
     Limbs r;
-    if (rem) r.push_back(static_cast<Limb>(rem));
+    if (rem) r.push_back(rem);
     return {std::move(quot), std::move(r)};
   }
-  // Knuth algorithm D with normalization.
-  unsigned shift = 0;
-  Limb top = den.back();
-  while ((top & 0x80000000u) == 0) {
-    top <<= 1;
-    ++shift;
-  }
-  auto shl = [](const Limbs& v, unsigned s) {
-    if (s == 0) return v;
-    Limbs out(v.size() + 1, 0);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      out[i] |= v[i] << s;
-      out[i + 1] = v[i] >> (32 - s);
-    }
-    while (!out.empty() && out.back() == 0) out.pop_back();
-    return out;
-  };
-  Limbs u_limbs = shl(num, shift);
-  const Limbs v_limbs = shl(den, shift);
-  const std::size_t n = v_limbs.size();
-  const std::size_t m = u_limbs.size() - n;
-  u_limbs.resize(u_limbs.size() + 1, 0);  // extra high limb
-  Limbs quot(m + 1, 0);
-  const DoubleLimb base = DoubleLimb{1} << 32;
-  // Raw limb pointers: through LimbVec::operator[] every limb store may
-  // alias the vectors' own (uint32_t) size/capacity fields, which forces a
-  // reload of the storage pointer in the inner loops.
+  // Knuth algorithm D (TAOCP 4.3.1) with normalization: shift both
+  // operands so the divisor's top limb has its high bit set; then the
+  // quotient estimate from the top two dividend limbs is at most 2 too
+  // large.
+  const unsigned shift = static_cast<unsigned>(std::countl_zero(den.back()));
+  const std::size_t n = den.size();
+  const std::size_t m = num.size() - n;
+  // u = num << shift with one extra high limb; v = den << shift.
+  Limbs u_limbs(num.size() + 1, 0);
+  Limbs v_limbs(n, 0);
   Limb* const u = u_limbs.data();
-  const Limb* const v = v_limbs.data();
+  Limb* const vw = v_limbs.data();
+  auto shl = [shift](const Limb* src, std::size_t len, Limb* dst) {
+    if (shift == 0) {
+      std::copy(src, src + len, dst);
+      return Limb{0};
+    }
+    Limb hi = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      dst[i] = (src[i] << shift) | hi;
+      hi = src[i] >> (kLimbBits - shift);
+    }
+    return hi;
+  };
+  u[num.size()] = shl(num.data(), num.size(), u);
+  shl(den.data(), n, vw);
+  const Limb* const v = vw;
+  Limbs quot(m + 1, 0);
+  const Limb vtop = v[n - 1];
+  const Limb vnext = v[n - 2];
   for (std::size_t j = m + 1; j-- > 0;) {
-    DoubleLimb numerator = (static_cast<DoubleLimb>(u[j + n]) << 32) | u[j + n - 1];
-    DoubleLimb qhat = numerator / v[n - 1];
-    DoubleLimb rhat = numerator % v[n - 1];
-    while (qhat >= base ||
-           qhat * v[n - 2] > ((rhat << 32) | u[j + n - 2])) {
-      --qhat;
-      rhat += v[n - 1];
-      if (rhat >= base) break;
+    // Estimate qhat = (u[j+n] : u[j+n-1]) / vtop, capped at 2^64 - 1.
+    Limb qhat, rhat;
+    bool rhat_overflow = false;
+    if (u[j + n] >= vtop) {
+      // u[j+n] == vtop (the running remainder is below v): qhat = 2^64 - 1
+      // and rhat = u[j+n-1] + vtop, which may not fit a limb.
+      qhat = ~Limb{0};
+      const DoubleLimb r = static_cast<DoubleLimb>(u[j + n - 1]) + vtop;
+      rhat = static_cast<Limb>(r);
+      rhat_overflow = (r >> 64) != 0;
+    } else {
+      const DoubleLimb numerator =
+          (static_cast<DoubleLimb>(u[j + n]) << 64) | u[j + n - 1];
+      qhat = static_cast<Limb>(numerator / vtop);
+      rhat = static_cast<Limb>(numerator -
+                               static_cast<DoubleLimb>(qhat) * vtop);
     }
-    // Multiply-subtract qhat*v from u[j..j+n].
-    std::int64_t borrow = 0;
-    DoubleLimb carry = 0;
+    while (!rhat_overflow &&
+           static_cast<DoubleLimb>(qhat) * vnext >
+               ((static_cast<DoubleLimb>(rhat) << 64) | u[j + n - 2])) {
+      --qhat;
+      const DoubleLimb r = static_cast<DoubleLimb>(rhat) + vtop;
+      rhat = static_cast<Limb>(r);
+      rhat_overflow = (r >> 64) != 0;
+    }
+    // Multiply-subtract qhat*v from u[j..j+n]; the borrow of each limb is
+    // folded into the next product's carry (it cannot overflow a limb).
+    Limb carry = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      DoubleLimb p = qhat * v[i] + carry;
-      carry = p >> 32;
-      const std::int64_t t = static_cast<std::int64_t>(u[i + j]) -
-                             static_cast<std::int64_t>(p & 0xffffffffu) -
-                             borrow;
-      // t in [-2^32, 2^32): its low limb is the digit either way, and the
-      // sign bit is the borrow (branch-free; the sign is a coin flip).
-      u[i + j] = static_cast<Limb>(t);
-      borrow = static_cast<std::int64_t>(static_cast<std::uint64_t>(t) >> 63);
+      const DoubleLimb p = static_cast<DoubleLimb>(qhat) * v[i] + carry;
+      const Limb plo = static_cast<Limb>(p);
+      const Limb ui = u[i + j];
+      u[i + j] = ui - plo;
+      carry = static_cast<Limb>(p >> 64) + (ui < plo ? 1 : 0);
     }
-    std::int64_t t = static_cast<std::int64_t>(u[j + n]) -
-                     static_cast<std::int64_t>(carry) - borrow;
-    if (t < 0) {
-      // qhat was one too large: add back.
-      t += static_cast<std::int64_t>(base);
+    const Limb top = u[j + n];
+    u[j + n] = top - carry;
+    if (top < carry) {
+      // qhat was one too large: add v back (the carry out of the top limb
+      // cancels the borrow above).
       --qhat;
-      DoubleLimb c2 = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        DoubleLimb s = static_cast<DoubleLimb>(u[i + j]) + v[i] + c2;
-        u[i + j] = static_cast<Limb>(s & 0xffffffffu);
-        c2 = s >> 32;
-      }
-      t += static_cast<std::int64_t>(c2);
-      t &= static_cast<std::int64_t>(base - 1);
+      Limb c2 = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        u[i + j] = add_carry(u[i + j], v[i], c2);
+      u[j + n] += c2;
     }
-    u[j + n] = static_cast<Limb>(t);
-    quot[j] = static_cast<Limb>(qhat);
+    quot[j] = qhat;
   }
-  while (!quot.empty() && quot.back() == 0) quot.pop_back();
+  trim_limbs(quot);
   // Remainder = u[0..n) >> shift.
   Limbs rem(u, u + n);
   if (shift) {
-    for (std::size_t i = 0; i + 1 < rem.size(); ++i)
-      rem[i] = (rem[i] >> shift) | (rem[i + 1] << (32 - shift));
-    rem.back() >>= shift;
+    Limb* r = rem.data();
+    for (std::size_t i = 0; i + 1 < n; ++i)
+      r[i] = (r[i] >> shift) | (r[i + 1] << (kLimbBits - shift));
+    r[n - 1] >>= shift;
   }
-  while (!rem.empty() && rem.back() == 0) rem.pop_back();
+  trim_limbs(rem);
   return {std::move(quot), std::move(rem)};
 }
 
 std::pair<BigInt, BigInt> BigInt::div_mod(const BigInt& num, const BigInt& den) {
   if (den.limbs_.empty()) throw std::domain_error("BigInt: division by zero");
   if (num.limbs_.size() <= 2 && den.limbs_.size() <= 2) {
-    const std::uint64_t n = num.mag_u64();
-    const std::uint64_t d = den.mag_u64();
+    const unsigned __int128 n = num.mag_u128();
+    const unsigned __int128 d = den.mag_u128();
     BigInt q, r;
     q.set_mag_u128(n / d, num.negative_ != den.negative_);
     r.set_mag_u128(n % d, num.negative_);
@@ -524,23 +547,21 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
   // (so it is the true multi-limb quotient), and accumulates the signed
   // cofactor matrix [[A, B], [C, D]].  One in-place pass over the limbs
   // then applies the matrix to both operands.  Quotients and cofactors
-  // stay below kCofactorCap, so the word arithmetic cannot overflow int64.
-  // A round that accepts no quotient (a/b beyond the window) takes one
-  // divmod.
+  // stay below kCofactorCap, so the word arithmetic cannot overflow int64
+  // and a cofactor times a limb fits in 95 bits.  A round that accepts no
+  // quotient (a/b beyond the window) takes one divmod.
   constexpr std::size_t kWindow = 62;
   constexpr std::int64_t kCofactorCap = std::int64_t{1} << 31;
   auto window = [](const Limbs& v, std::size_t shift) {
     const std::size_t li = shift / kLimbBits;
-    unsigned __int128 w = 0;
-    for (std::size_t j = 0; j < 3 && li + j < v.size(); ++j)
-      w |= static_cast<unsigned __int128>(v[li + j]) << (kLimbBits * j);
-    return static_cast<std::int64_t>(w >> (shift % kLimbBits));
-  };
-  auto trim_limbs = [](Limbs& v) {
-    while (!v.empty() && v.back() == 0) v.pop_back();
+    DoubleLimb w = 0;
+    for (std::size_t j = 0; j < 2 && li + j < v.size(); ++j)
+      w |= static_cast<DoubleLimb>(v[li + j]) << (kLimbBits * j);
+    return static_cast<std::int64_t>((w >> (shift % kLimbBits)) &
+                                     ((Limb{1} << kWindow) - 1));
   };
   b.limbs_.reserve(a.limbs_.size());
-  while (a.limbs_.size() > 2) {
+  while (a.limbs_.size() > 1) {
     if (b.limbs_.empty()) return a;
     const std::size_t shift = a.bit_length() - kWindow;
     std::int64_t uh = window(a.limbs_, shift);
@@ -574,16 +595,30 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
     }
     // (a, b) <- (A*a + B*b, C*a + D*b): two consecutive remainders of the
     // true sequence, so both are non-negative and a > b.
+    // Euclid's cofactors alternate in sign, so A and B (and C and D) have
+    // opposite signs: each new limb is a difference of two unsigned
+    // 64 x 64-bit products, taken in the order that makes the value >= 0.
+    const bool a_first = cb <= 0;  // then A >= 0
+    const bool c_first = cd <= 0;  // then C >= 0
+    const Limb ua = static_cast<Limb>(a_first ? ca : -ca);
+    const Limb ub = static_cast<Limb>(a_first ? -cb : cb);
+    const Limb uc = static_cast<Limb>(c_first ? cc : -cc);
+    const Limb ud = static_cast<Limb>(c_first ? -cd : cd);
+    auto product = [](Limb x, Limb y) {  // below 2^95: x is a cofactor
+      return static_cast<__int128>(static_cast<DoubleLimb>(x) * y);
+    };
     const std::size_t na = a.limbs_.size();
     b.limbs_.resize(na, 0);
     Limb* pa = a.limbs_.data();
     Limb* pb = b.limbs_.data();
     __int128 carry_a = 0, carry_b = 0;
     for (std::size_t i = 0; i < na; ++i) {
-      const std::int64_t ai = pa[i];
-      const std::int64_t bi = pb[i];
-      carry_a += static_cast<__int128>(ca) * ai + static_cast<__int128>(cb) * bi;
-      carry_b += static_cast<__int128>(cc) * ai + static_cast<__int128>(cd) * bi;
+      const Limb ai = pa[i];
+      const Limb bi = pb[i];
+      const __int128 da = product(ua, ai) - product(ub, bi);
+      const __int128 dc = product(uc, ai) - product(ud, bi);
+      carry_a += a_first ? da : -da;
+      carry_b += c_first ? dc : -dc;
       pa[i] = static_cast<Limb>(carry_a);
       pb[i] = static_cast<Limb>(carry_b);
       carry_a >>= kLimbBits;
@@ -600,8 +635,8 @@ std::uint64_t BigInt::mod_u64(std::uint64_t m) const {
   if (m == 0) throw std::domain_error("BigInt: mod_u64 by zero");
   std::uint64_t rem = 0;
   for (std::size_t i = limbs_.size(); i-- > 0;) {
-    const unsigned __int128 cur =
-        (static_cast<unsigned __int128>(rem) << kLimbBits) | limbs_[i];
+    const DoubleLimb cur =
+        (static_cast<DoubleLimb>(rem) << kLimbBits) | limbs_[i];
     rem = static_cast<std::uint64_t>(cur % m);
   }
   if (negative_ && rem != 0) rem = m - rem;
@@ -627,11 +662,19 @@ BigInt BigInt::shifted_left(std::size_t bits) const {
   out.negative_ = negative_;
   const std::size_t limb_shift = bits / kLimbBits;
   const unsigned bit_shift = static_cast<unsigned>(bits % kLimbBits);
-  out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    out.limbs_[i + limb_shift] |= bit_shift ? (limbs_[i] << bit_shift) : limbs_[i];
-    if (bit_shift)
-      out.limbs_[i + limb_shift + 1] = limbs_[i] >> (kLimbBits - bit_shift);
+  const std::size_t n = limbs_.size();
+  out.limbs_.assign(n + limb_shift + 1, 0);
+  Limb* po = out.limbs_.data() + limb_shift;
+  const Limb* pi = limbs_.data();
+  if (bit_shift == 0) {
+    std::copy(pi, pi + n, po);
+  } else {
+    Limb hi = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      po[i] = (pi[i] << bit_shift) | hi;
+      hi = pi[i] >> (kLimbBits - bit_shift);
+    }
+    po[n] = hi;
   }
   out.trim();
   return out;
@@ -646,10 +689,11 @@ BigInt BigInt::shifted_right(std::size_t bits) const {
   out.negative_ = negative_;
   out.limbs_.assign(limbs_.begin() + limb_shift, limbs_.end());
   if (bit_shift) {
-    for (std::size_t i = 0; i + 1 < out.limbs_.size(); ++i)
-      out.limbs_[i] =
-          (out.limbs_[i] >> bit_shift) | (out.limbs_[i + 1] << (kLimbBits - bit_shift));
-    out.limbs_.back() >>= bit_shift;
+    Limb* p = out.limbs_.data();
+    const std::size_t n = out.limbs_.size();
+    for (std::size_t i = 0; i + 1 < n; ++i)
+      p[i] = (p[i] >> bit_shift) | (p[i + 1] << (kLimbBits - bit_shift));
+    p[n - 1] >>= bit_shift;
   }
   out.trim();
   return out;
@@ -657,19 +701,21 @@ BigInt BigInt::shifted_right(std::size_t bits) const {
 
 std::string BigInt::to_string() const {
   if (is_zero()) return "0";
-  // Repeated division by 1e9 (fits in a limb-sized chunk).
+  // Repeated in-place division by 10^19, the largest power of ten below
+  // 2^64; each remainder gives 19 digits.
   Limbs mag = limbs_;
   std::string digits;
-  const DoubleLimb chunk = 1000000000ull;
+  constexpr Limb kChunk = 10000000000000000000ull;
   while (!mag.empty()) {
-    DoubleLimb rem = 0;
+    Limb rem = 0;
+    Limb* p = mag.data();
     for (std::size_t i = mag.size(); i-- > 0;) {
-      DoubleLimb cur = (rem << 32) | mag[i];
-      mag[i] = static_cast<Limb>(cur / chunk);
-      rem = cur % chunk;
+      const DoubleLimb cur = (static_cast<DoubleLimb>(rem) << 64) | p[i];
+      p[i] = static_cast<Limb>(cur / kChunk);
+      rem = static_cast<Limb>(cur % kChunk);
     }
-    while (!mag.empty() && mag.back() == 0) mag.pop_back();
-    for (int d = 0; d < 9; ++d) {
+    trim_limbs(mag);
+    for (int d = 0; d < 19; ++d) {
       digits.push_back(static_cast<char>('0' + rem % 10));
       rem /= 10;
     }
@@ -682,38 +728,32 @@ std::string BigInt::to_string() const {
 
 double BigInt::to_double() const {
   if (is_zero()) return 0.0;
-  // Use the top 64 bits of the magnitude plus the exponent.
+  // The top 64 bits of the magnitude (truncated), rounded once to double.
   const std::size_t bits = bit_length();
   double result;
   if (bits <= 64) {
-    std::uint64_t mag = 0;
-    for (std::size_t i = limbs_.size(); i-- > 0;)
-      mag = (mag << 32) | limbs_[i];
-    result = static_cast<double>(mag);
+    result = static_cast<double>(limbs_[0]);
   } else {
-    BigInt top = shifted_right(bits - 64);
-    std::uint64_t mag = 0;
-    for (std::size_t i = top.limbs_.size(); i-- > 0;)
-      mag = (mag << 32) | top.limbs_[i];
-    result = std::ldexp(static_cast<double>(mag),
-                        static_cast<int>(bits - 64));
+    const std::size_t shift = bits - 64;
+    const std::size_t li = shift / kLimbBits;
+    const unsigned bs = static_cast<unsigned>(shift % kLimbBits);
+    Limb top = limbs_[li] >> bs;
+    if (bs) top |= limbs_[li + 1] << (kLimbBits - bs);
+    result = std::ldexp(static_cast<double>(top), static_cast<int>(shift));
   }
   return negative_ ? -result : result;
 }
 
 bool BigInt::fits_int64() const {
-  if (limbs_.size() > 2) return false;
-  if (limbs_.size() < 2) return true;
-  std::uint64_t mag = (static_cast<std::uint64_t>(limbs_[1]) << 32) | limbs_[0];
+  if (limbs_.size() > 1) return false;
+  const std::uint64_t mag = mag_u64();
   if (negative_) return mag <= (std::uint64_t{1} << 63);
   return mag < (std::uint64_t{1} << 63);
 }
 
 std::int64_t BigInt::to_int64() const {
   if (!fits_int64()) throw std::range_error("BigInt: value does not fit int64");
-  if (is_zero()) return 0;
-  std::uint64_t mag = limbs_[0];
-  if (limbs_.size() == 2) mag |= static_cast<std::uint64_t>(limbs_[1]) << 32;
+  const std::uint64_t mag = mag_u64();
   if (negative_) return static_cast<std::int64_t>(~mag + 1);
   return static_cast<std::int64_t>(mag);
 }

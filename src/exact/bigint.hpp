@@ -2,19 +2,20 @@
 //
 // BigInt is the foundation of the exact (symbolic) layer used for the
 // SMT-style validation of Lyapunov candidates.  It is a sign-magnitude
-// number with base-2^32 limbs stored little-endian.  All operations are
+// number with base-2^64 limbs stored little-endian; every limb product and
+// two-limb quotient is formed in unsigned __int128.  All operations are
 // exact; overflow cannot occur.  Performance targets are the matrix sizes
 // of the paper (up to ~22x22 rational matrices, vech systems of a few
-// hundred unknowns); multiplication uses schoolbook with uint64
-// accumulation plus Karatsuba above a threshold.
+// hundred unknowns); multiplication uses schoolbook plus Karatsuba above a
+// threshold, division is Knuth's algorithm D, gcd is Lehmer's algorithm.
 //
 // Storage is allocation-light: values below 2^128 live inline in the
-// BigInt itself (detail::LimbVec keeps 4 limbs in-place), and larger
+// BigInt itself (detail::LimbVec keeps 2 limbs in-place), and larger
 // magnitudes draw power-of-two heap blocks from a thread-local pool so the
 // CRT folding and integer-verification loops of the multi-modular solver
-// recycle their temporaries instead of hammering the allocator.  Values
-// that fit two limbs additionally take branch-free int128 fast paths
-// through +, -, *, and div_mod.
+// recycle their temporaries instead of hammering the allocator.  += and -=
+// work in place.  One-limb values take int128 fast paths through +, -
+// and *, and values below 2^128 through div_mod.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,8 @@ namespace detail {
 /// bigint.cpp).  Only the subset of the std::vector interface BigInt needs.
 class LimbVec {
  public:
-  using value_type = std::uint32_t;
-  static constexpr std::size_t kInlineLimbs = 4;
+  using value_type = std::uint64_t;
+  static constexpr std::size_t kInlineLimbs = 2;
 
   LimbVec() noexcept : size_(0), cap_(kInlineLimbs) {}
   LimbVec(std::size_t n, value_type fill) : LimbVec() { resize(n, fill); }
@@ -147,7 +148,7 @@ class LimbVec {
 
 }  // namespace detail
 
-/// Arbitrary-precision signed integer (sign-magnitude, base 2^32).
+/// Arbitrary-precision signed integer (sign-magnitude, base 2^64).
 ///
 /// Invariants:
 ///  - limbs_ has no trailing zero limbs (most significant limb nonzero),
@@ -214,7 +215,7 @@ class BigInt {
   [[nodiscard]] static BigInt gcd(BigInt a, BigInt b);
 
   /// Canonical residue of the signed value in [0, m); throws
-  /// std::domain_error when m == 0.  One u128 division per limb — the
+  /// std::domain_error when m == 0.  One u128 division per limb: the
   /// BigInt -> machine-word reduction of the multi-modular solver.
   [[nodiscard]] std::uint64_t mod_u64(std::uint64_t m) const;
 
@@ -232,8 +233,11 @@ class BigInt {
   /// Base-10 representation (with leading '-' when negative).
   [[nodiscard]] std::string to_string() const;
 
-  /// Nearest double (round-to-nearest via long-division scaling);
-  /// may overflow to +/-inf for huge values.
+  /// The top 64 bits of the magnitude (truncated), rounded to nearest
+  /// double and scaled by the dropped power of two.  Exact to nearest for
+  /// values below 2^64; above that it rounds twice, so it can differ from
+  /// the nearest double by one ulp (e.g. (2^63 + 2^10) * 2^8 + 1 gives
+  /// 2^71, not (1 + 2^-52) * 2^71).  May overflow to +/-inf.
   [[nodiscard]] double to_double() const;
 
   /// Exact conversion when the value fits in int64; throws std::range_error
@@ -246,30 +250,37 @@ class BigInt {
   friend std::ostream& operator<<(std::ostream& os, const BigInt& v);
 
  private:
-  using Limb = std::uint32_t;
-  using DoubleLimb = std::uint64_t;
+  using Limb = std::uint64_t;
+  using DoubleLimb = unsigned __int128;
   using Limbs = detail::LimbVec;
-  static constexpr unsigned kLimbBits = 32;
+  static constexpr unsigned kLimbBits = 64;
 
   Limbs limbs_;  // little-endian, no trailing zeros
   bool negative_ = false;
 
   void trim();
-  /// Magnitude as u64; only valid when limbs_.size() <= 2.
+  /// Magnitude as u64; only valid when limbs_.size() <= 1.
   [[nodiscard]] std::uint64_t mag_u64() const {
-    std::uint64_t m = limbs_.empty() ? 0 : limbs_[0];
-    if (limbs_.size() == 2) m |= static_cast<std::uint64_t>(limbs_[1]) << 32;
+    return limbs_.empty() ? 0 : limbs_[0];
+  }
+  /// Magnitude as u128; only valid when limbs_.size() <= 2.
+  [[nodiscard]] unsigned __int128 mag_u128() const {
+    unsigned __int128 m = mag_u64();
+    if (limbs_.size() == 2) m |= static_cast<DoubleLimb>(limbs_[1]) << 64;
     return m;
   }
   /// Overwrite with a <= 128-bit magnitude (stays in inline storage).
   void set_mag_u128(unsigned __int128 mag, bool negative);
-  /// *this += (rhs_negative ? -|rhs| : |rhs|); shared by += and -=.
+  /// *this += (rhs_negative ? -|rhs| : |rhs|) in place; shared by += and -=.
   BigInt& add_signed(const BigInt& rhs, bool rhs_negative);
   // |a| vs |b|
   static int compare_magnitude(const Limbs& a, const Limbs& b);
-  static Limbs add_magnitude(const Limbs& a, const Limbs& b);
-  // requires |a| >= |b|
-  static Limbs sub_magnitude(const Limbs& a, const Limbs& b);
+  // a += b; b may alias a.
+  static void add_magnitude(Limbs& a, const Limbs& b);
+  // a -= b, requires |a| >= |b|.
+  static void sub_magnitude(Limbs& a, const Limbs& b);
+  // a = b - a, requires |b| > |a|; b must not alias a.
+  static void rsub_magnitude(Limbs& a, const Limbs& b);
   static Limbs mul_magnitude(const Limbs& a, const Limbs& b);
   static Limbs mul_schoolbook(const Limbs& a, const Limbs& b);
   static Limbs mul_karatsuba(const Limbs& a, const Limbs& b);

@@ -79,6 +79,11 @@ class Rational {
 
   [[nodiscard]] Rational pow(int e) const;
 
+  /// The truncated quotient num * 2^s / den (about 64 bits) converted by
+  /// BigInt::to_double and scaled back by 2^-s.  Like BigInt::to_double it
+  /// rounds twice, so it can miss the nearest double by one ulp (e.g.
+  /// (2^63 + 2^10) * 2^8 + 1 gives 2^71); eq-smt's double P depends on
+  /// exactly these bits.
   [[nodiscard]] double to_double() const;
   [[nodiscard]] std::string to_string() const;
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "exact/sylvester.hpp"
 #include "numeric/eigen.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -9,6 +10,7 @@
 
 namespace spiv::smt {
 
+using exact::IntMatrix;
 using exact::RatMatrix;
 using exact::Rational;
 
@@ -32,32 +34,6 @@ std::optional<Engine> engine_from_string(const std::string& name) {
 
 namespace {
 
-/// Incremental Sylvester criterion with early exit: eliminates without row
-/// swaps; the running pivot product equals the leading principal minors.
-/// Returns Valid iff every leading principal minor is strictly positive.
-Outcome sylvester_strict(const RatMatrix& input, const Deadline& deadline) {
-  RatMatrix m = input;
-  const std::size_t n = m.rows();
-  for (std::size_t col = 0; col < n; ++col) {
-    deadline.check();
-    // With all previous pivots positive, minor_k = (prod pivots) * pivot_k,
-    // so the sign of the next minor is the sign of the pivot itself.
-    if (m(col, col).sign() <= 0) return Outcome::Invalid;
-    const Rational inv_pivot = m(col, col).reciprocal();
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (m(r, col).is_zero()) continue;
-      deadline.check();  // row-level poll: rows get heavy late in elimination
-      const Rational factor = m(r, col) * inv_pivot;
-      m(r, col) = Rational{};
-      for (std::size_t j = col + 1; j < n; ++j) {
-        if (m(col, j).is_zero()) continue;
-        m(r, j) -= factor * m(col, j);
-      }
-    }
-  }
-  return Outcome::Valid;
-}
-
 /// Fraction-free Bareiss elimination without renormalization (the SymPy
 /// is_positive_definite route): the k-th pivot equals the k-th leading
 /// principal minor, intermediate products are kept un-divided as long as
@@ -72,7 +48,7 @@ Outcome bareiss_strict(const RatMatrix& input, const Deadline& deadline) {
     // Bareiss pivots are exactly the leading principal minors.
     if (pivot.sign() <= 0) return Outcome::Invalid;
     for (std::size_t r = col + 1; r < n; ++r) {
-      deadline.check();  // row-level poll; see sylvester_strict
+      deadline.check();  // row-level poll: rows get heavy late in elimination
       for (std::size_t j = col + 1; j < n; ++j) {
         m(r, j) = (pivot * m(r, j) - m(r, col) * m(col, j)) / prev_pivot;
       }
@@ -99,7 +75,7 @@ Outcome ldlt_strict(const RatMatrix& input, const Deadline& deadline) {
     d[j] = dj;
     const Rational inv_dj = dj.reciprocal();
     for (std::size_t i = j + 1; i < n; ++i) {
-      deadline.check();  // row-level poll; see sylvester_strict
+      deadline.check();  // row-level poll: rows get heavy late in elimination
       Rational acc = input(i, j);
       for (std::size_t k = 0; k < j; ++k) {
         if (l(i, k).is_zero() || l(j, k).is_zero()) continue;
@@ -131,6 +107,28 @@ std::optional<std::vector<Rational>> counter_model(const RatMatrix& m) {
   return std::nullopt;
 }
 
+/// Runs `decide` and times it; a TimeoutError becomes Outcome::Timeout.
+template <class Decide>
+Verdict timed_verdict(Decide&& decide) {
+  Verdict verdict;
+  const auto start = time_source::now();
+  try {
+    verdict.outcome = decide(verdict);
+  } catch (const TimeoutError&) {
+    verdict.outcome = Outcome::Timeout;
+  }
+  verdict.seconds = time_source::seconds_since(start);
+  return verdict;
+}
+
+Outcome sylvester_int(IntMatrix s, const Deadline& deadline) {
+  // "+det" needs no extra work here: the determinant is the last pivot,
+  // and every pivot positive already implies it is nonzero.
+  return exact::leading_minors_positive(std::move(s), deadline)
+             ? Outcome::Valid
+             : Outcome::Invalid;
+}
+
 }  // namespace
 
 Verdict check_positive_definite(const RatMatrix& m, Engine engine,
@@ -138,40 +136,24 @@ Verdict check_positive_definite(const RatMatrix& m, Engine engine,
   if (!m.is_square() || !m.is_symmetric())
     throw std::invalid_argument(
         "check_positive_definite: symmetric matrix required");
-  Verdict verdict;
-  const auto start = time_source::now();
-  auto finish = [&](Outcome o) {
-    verdict.outcome = o;
-    verdict.seconds = time_source::seconds_since(start);
-    return verdict;
-  };
-  try {
+  return timed_verdict([&](Verdict& verdict) {
     switch (engine) {
-      case Engine::Sylvester: {
-        if (options.det_encoding) {
-          // "+det": nonsingularity first, then the weak condition (which
-          // together with det != 0 is equivalent to the strict one).
-          if (m.determinant(options.deadline).is_zero())
-            return finish(Outcome::Invalid);
-        }
-        return finish(sylvester_strict(m, options.deadline));
-      }
-      case Engine::SympyGauss: {
+      case Engine::Sylvester:
+        return sylvester_int(IntMatrix::cleared(m), options.deadline);
+      case Engine::SympyGauss:
         if (options.det_encoding && m.determinant(options.deadline).is_zero())
-          return finish(Outcome::Invalid);
-        return finish(bareiss_strict(m, options.deadline));
-      }
-      case Engine::Ldlt: {
+          return Outcome::Invalid;
+        return bareiss_strict(m, options.deadline);
+      case Engine::Ldlt:
         if (options.det_encoding && m.determinant(options.deadline).is_zero())
-          return finish(Outcome::Invalid);
-        return finish(ldlt_strict(m, options.deadline));
-      }
+          return Outcome::Invalid;
+        return ldlt_strict(m, options.deadline);
       case Engine::SmtZ3Style:
       case Engine::SmtCvc5Style: {
         // Phase 1: cheap counter-model search (SAT answers are fast).
         if (auto w = counter_model(m)) {
           verdict.witness = std::move(*w);
-          return finish(Outcome::Invalid);
+          return Outcome::Invalid;
         }
         // Phase 2: complete decision via the characteristic polynomial.
         auto coeffs = engine == Engine::SmtZ3Style
@@ -185,13 +167,11 @@ Verdict check_positive_definite(const RatMatrix& m, Engine engine,
         } else {
           ok = all_roots_positive_strict(coeffs);
         }
-        return finish(ok ? Outcome::Valid : Outcome::Invalid);
+        return ok ? Outcome::Valid : Outcome::Invalid;
       }
     }
-  } catch (const TimeoutError&) {
-    return finish(Outcome::Timeout);
-  }
-  throw std::logic_error("check_positive_definite: unknown engine");
+    throw std::logic_error("check_positive_definite: unknown engine");
+  });
 }
 
 exact::RatMatrix rationalize(const numeric::Matrix& m, int digits) {
@@ -209,12 +189,27 @@ LyapunovValidation validate_lyapunov(const numeric::Matrix& a,
   // (paper §VI-B1: candidates rounded at the 10th significant figure).
   const RatMatrix a_exact = rationalize(a, 0);
   const RatMatrix p_exact = rationalize(p, digits).symmetrized();
-  const RatMatrix lie =
-      -(a_exact.transposed() * p_exact + p_exact * a_exact).symmetrized();
 
   LyapunovValidation out;
-  out.positivity = check_positive_definite(p_exact, engine, options);
-  out.decrease = check_positive_definite(lie, engine, options);
+  if (engine == Engine::Sylvester) {
+    // All in integers: P = P_int / D and A = A_int / 2^k, so the Lie
+    // matrix is lie_matrix(A_int, P_int) / (2^k D), and the positive
+    // scales change neither definiteness question.
+    const IntMatrix p_int = IntMatrix::cleared(p_exact);
+    out.positivity = timed_verdict([&](Verdict&) {
+      return sylvester_int(p_int, options.deadline);
+    });
+    out.decrease = timed_verdict([&](Verdict&) {
+      return sylvester_int(
+          exact::lie_matrix(IntMatrix::cleared(a_exact), p_int),
+          options.deadline);
+    });
+  } else {
+    const RatMatrix lie =
+        -(a_exact.transposed() * p_exact + p_exact * a_exact).symmetrized();
+    out.positivity = check_positive_definite(p_exact, engine, options);
+    out.decrease = check_positive_definite(lie, engine, options);
+  }
   obs::Registry::global()
       .histogram("spiv_validation_seconds{engine=\"" + to_string(engine) +
                  "\"}")

@@ -11,7 +11,9 @@
 // procedures with deliberately different algorithmic profiles, mirroring
 // the validators compared in the paper's Fig. 3:
 //
-//   Sylvester     — leading principal minors (the paper's fastest method);
+//   Sylvester     — leading principal minors (the paper's fastest method),
+//                   by fraction-free elimination on integers (the matrix
+//                   with its denominators cleared; see exact/sylvester.hpp);
 //   SympyGauss    — fraction-free (Bareiss) elimination without
 //                   renormalization, SymPy-is_positive_definite style;
 //   Ldlt          — exact LDL^T pivots;

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <string_view>
 
 namespace spiv::exact {
 namespace {
@@ -176,7 +179,7 @@ BigInt euclid_gcd(BigInt a, BigInt b) {
   return a;
 }
 
-/// Uniform random magnitude of exactly `limbs` 32-bit limbs (top limb
+/// Uniform random magnitude of exactly `limbs` 32-bit words (top word
 /// nonzero), random sign.
 BigInt random_limbs(std::mt19937_64& rng, std::size_t limbs) {
   BigInt acc;
@@ -281,10 +284,11 @@ TEST(BigInt, ToDoubleAccuracy) {
 // --- property tests against int64/double reference arithmetic ---
 
 TEST(BigInt, InlineToHeapBoundaryArithmetic) {
-  // The limb storage keeps 4 x 32-bit limbs inline and moves to pooled
-  // heap blocks beyond that; exercise sizes straddling that boundary in
-  // both directions (grow via multiply, shrink via divide).
-  const BigInt base{"4294967295"};  // 2^32 - 1, one limb
+  // The limb storage keeps 2 x 64-bit limbs (values below 2^128) inline
+  // and moves to pooled heap blocks beyond that; exercise sizes (32 to 288
+  // bits) straddling that boundary in both directions (grow via multiply,
+  // shrink via divide).
+  const BigInt base{"4294967295"};  // 2^32 - 1
   BigInt acc{1};
   std::vector<BigInt> stages;
   for (int limbs = 1; limbs <= 9; ++limbs) {
@@ -297,7 +301,7 @@ TEST(BigInt, InlineToHeapBoundaryArithmetic) {
     acc = quot;
     EXPECT_EQ(acc, stages[static_cast<std::size_t>(limbs) - 1]) << limbs;
   }
-  // Add/sub round trip across the boundary (3 <-> 5 limbs).
+  // Add/sub round trip across the boundary (96 <-> 160 bits).
   const BigInt big = stages[4], small = stages[2];
   EXPECT_EQ(big + small - small, big);
   EXPECT_EQ(small + big - big, small);
@@ -305,7 +309,7 @@ TEST(BigInt, InlineToHeapBoundaryArithmetic) {
 }
 
 TEST(BigInt, MovedFromValuesAreReusable) {
-  BigInt heap = BigInt{"123456789123456789"}.pow(8);  // well past 4 limbs
+  BigInt heap = BigInt{"123456789123456789"}.pow(8);  // ~457 bits: heap
   const BigInt copy = heap;
   BigInt stolen = std::move(heap);
   EXPECT_EQ(stolen, copy);
@@ -335,6 +339,217 @@ TEST(BigInt, SmallOperandFastPathsMatchWideReference) {
     EXPECT_EQ(r_small * scale, r_wide);
     EXPECT_EQ(BigInt::gcd(bx, by) * scale, BigInt::gcd(bx * scale, by * scale));
   }
+}
+
+// --- bit-identity guard ---
+
+/// FNV-1a over each result's decimal text (doubles: their bit pattern),
+/// with a separator so adjacent results cannot run together.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::string_view s) {
+    for (const char c : s) mix(static_cast<unsigned char>(c));
+    mix(0xff);
+  }
+  void add(const BigInt& v) { add(v.to_string()); }
+  void add(std::uint64_t v) { add(std::to_string(v)); }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void mix(unsigned char c) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+};
+
+/// A magnitude of exactly `bits` bits with a random sign, built from
+/// 32-bit words in one of four patterns: random, all ones, one set bit per
+/// word, or runs mixing zero, all-ones and random words.
+BigInt golden_operand(std::mt19937_64& rng, std::size_t bits) {
+  if (bits == 0) return {};
+  const std::uint64_t pattern = rng() % 4;
+  auto word = [&]() -> std::uint64_t {
+    switch (pattern) {
+      case 0: return rng() & 0xffffffffu;
+      case 1: return 0xffffffffu;
+      case 2: return std::uint64_t{1} << (rng() % 32);
+      default: {
+        const std::uint64_t kind = rng() % 3;
+        return kind == 0 ? 0 : kind == 1 ? 0xffffffffu : rng() & 0xffffffffu;
+      }
+    }
+  };
+  const std::size_t words = (bits + 31) / 32;
+  const std::size_t top_bits = bits - 32 * (words - 1);
+  const std::uint64_t top_mask = (std::uint64_t{1} << top_bits) - 1;
+  BigInt acc{static_cast<std::int64_t>((word() & top_mask) |
+                                       (std::uint64_t{1} << (top_bits - 1)))};
+  for (std::size_t i = 1; i < words; ++i)
+    acc = acc.shifted_left(32) + BigInt{static_cast<std::int64_t>(word())};
+  return rng() % 2 ? acc : acc.negated();
+}
+
+std::size_t golden_bits(std::mt19937_64& rng) {
+  static constexpr std::size_t kEdges[] = {
+      0,   1,   2,   31,  32,  33,  63,  64,  65,  95,  96,
+      127, 128, 129, 191, 192, 193, 255, 256, 257, 4096};
+  switch (rng() % 3) {
+    case 0: return kEdges[rng() % std::size(kEdges)];
+    case 1: return rng() % 1024;
+    default: return rng() % 40001;
+  }
+}
+
+TEST(BigInt, GoldenDigestOfMixedOperations) {
+  // A seeded run of * / % gcd shifts pow10 mod_u64 to_string to_double
+  // (and + -) on operands of 0 to 40k bits, both signs.  Every result is
+  // folded into one digest.  The constant was computed with the original
+  // base-2^32 implementation: a limb-size or kernel change that alters any
+  // digit of any result (or any bit of a double) fails here.
+  static constexpr std::uint64_t kModuli[] = {
+      1,
+      2,
+      3,
+      10,
+      0xffffffffull,
+      0x100000000ull,
+      0x100000001ull,
+      0x7fffffffffffffffull,
+      0x8000000000000000ull,
+      0xffffffffffffffffull,
+      0xffffffffffffffc5ull};  // largest 64-bit prime
+  std::mt19937_64 rng{20261020};
+  Digest d;
+  for (int iter = 0; iter < 240; ++iter) {
+    const BigInt a = golden_operand(rng, golden_bits(rng));
+    const BigInt b = golden_operand(rng, golden_bits(rng));
+    d.add(a);
+    d.add(a + b);
+    d.add(a - b);
+    d.add(a * b);
+    if (!b.is_zero()) {
+      d.add(a / b);
+      d.add(a % b);
+    }
+    d.add(BigInt::gcd(a, b));
+    const std::size_t s = rng() % 300;
+    d.add(a.shifted_left(s));
+    d.add(a.shifted_right(s));
+    const std::uint64_t m =
+        rng() % 2 ? kModuli[rng() % std::size(kModuli)] : rng() | 1;
+    d.add(a.mod_u64(m));
+    d.add(a.to_double());
+    d.add((a * b).to_double());
+    if (iter % 8 == 0) {
+      const BigInt p = BigInt::pow10(static_cast<unsigned>(rng() % 400));
+      d.add(p);
+      d.add(a * p);
+      if (!a.is_zero()) d.add(p / a);
+    }
+  }
+  EXPECT_EQ(d.h, 0xf72458306f40586dull) << std::hex << d.h;
+}
+
+/// The word-boundary values: 2^63, 2^64, 2^127, 2^128 and their
+/// neighbours at distance one, with both signs.
+std::vector<BigInt> boundary_values() {
+  std::vector<BigInt> out;
+  for (std::size_t k : {63u, 64u, 127u, 128u}) {
+    const BigInt p = BigInt{1}.shifted_left(k);
+    for (const BigInt& v : {p - BigInt{1}, p, p + BigInt{1}}) {
+      out.push_back(v);
+      out.push_back(v.negated());
+    }
+  }
+  return out;
+}
+
+TEST(BigInt, WordBoundaryProperties) {
+  const std::vector<BigInt> vals = boundary_values();
+  for (const BigInt& a : vals) {
+    EXPECT_EQ(BigInt{a.to_string()}, a) << a;
+    BigInt self = a;  // += and -= with the operand aliasing *this
+    self += self;
+    EXPECT_EQ(self, a * BigInt{2}) << a;
+    self -= self;
+    EXPECT_TRUE(self.is_zero()) << a;
+    for (const BigInt& b : vals) {
+      auto [q, r] = BigInt::div_mod(a, b);
+      EXPECT_EQ(q * b + r, a) << a << " / " << b;
+      EXPECT_LT(r.abs(), b.abs()) << a << " / " << b;
+      if (!r.is_zero()) {
+        EXPECT_EQ(r.sign(), a.sign()) << a << " / " << b;
+      }
+      const BigInt g = BigInt::gcd(a, b);
+      EXPECT_TRUE((a % g).is_zero()) << a << ", " << b;
+      EXPECT_TRUE((b % g).is_zero()) << a << ", " << b;
+      EXPECT_EQ(g, euclid_gcd(a, b)) << a << ", " << b;
+      const BigInt prod = a * b;
+      EXPECT_EQ(BigInt{prod.to_string()}, prod);
+      EXPECT_EQ(prod / b, a);
+    }
+  }
+  EXPECT_EQ(BigInt{1}.shifted_left(64).to_string(), "18446744073709551616");
+  EXPECT_EQ(BigInt{1}.shifted_left(128).to_string(),
+            "340282366920938463463374607431768211456");
+  EXPECT_EQ((BigInt{1}.shifted_left(127) - BigInt{1}).to_string(),
+            "170141183460469231731687303715884105727");
+}
+
+TEST(BigInt, KnuthDAddBackVectors) {
+  // u = 3 + 2^(3w-1), v = 1 + 2^(3w-3) for word size w: the normalised
+  // quotient estimate from the top two words is 4, one too large, so the
+  // multiply-subtract goes negative and the add-back step runs.  Exact
+  // answer: q = 3, r = 2^(3w-3).  Both the 32- and the 64-bit word shapes.
+  for (std::size_t w : {32u, 64u}) {
+    const BigInt u = BigInt{3} + BigInt{1}.shifted_left(3 * w - 1);
+    const BigInt v = BigInt{1} + BigInt{1}.shifted_left(3 * w - 3);
+    auto [q, r] = BigInt::div_mod(u, v);
+    EXPECT_EQ(q, BigInt{3}) << w;
+    EXPECT_EQ(r, BigInt{1}.shifted_left(3 * w - 3)) << w;
+    auto [nq, nr] = BigInt::div_mod(u.negated(), v);
+    EXPECT_EQ(nq, BigInt{-3}) << w;
+    EXPECT_EQ(nr, r.negated()) << w;
+  }
+  // Hacker's Delight divmnu vectors (base-2^32 words, least significant
+  // first): add-back needed, and a multiply-subtract quantity that must
+  // not be treated as signed.
+  const BigInt b32 = BigInt{1}.shifted_left(32);
+  auto poly = [&b32](std::initializer_list<std::int64_t> words) {
+    BigInt acc;
+    for (auto it = std::rbegin(words); it != std::rend(words); ++it)
+      acc = acc * b32 + BigInt{*it};
+    return acc;
+  };
+  struct Vector {
+    BigInt u, v, q, r;
+  };
+  const Vector vectors[] = {
+      {poly({0x3, 0x0, 0x80000000}), poly({0x1, 0x0, 0x20000000}),
+       poly({0x3}), poly({0x0, 0x0, 0x20000000})},
+      {poly({0x0, 0xfffe, 0x80000000}), poly({0xffff, 0x80000000}),
+       poly({0xffffffff}), poly({0xffff, 0x7fffffff})},
+      {poly({0x0, 0x0, 0x8000, 0x80000000}), poly({0x1, 0x0, 0x80000000}),
+       poly({0x0, 0x1}), poly({0x0, 0xffffffff, 0x7fff})},
+      {poly({0x0, 0xfffe, 0x0, 0x8000}), poly({0xffff, 0x0, 0x8000}),
+       poly({0xffffffff}), poly({0xffff, 0xffffffff, 0x7fff})},
+  };
+  for (const Vector& t : vectors) {
+    auto [q, r] = BigInt::div_mod(t.u, t.v);
+    EXPECT_EQ(q, t.q) << t.u << " / " << t.v;
+    EXPECT_EQ(r, t.r) << t.u << " / " << t.v;
+  }
+}
+
+TEST(BigInt, ToDoubleTruncatesToSixtyFourBitsThenRounds) {
+  // (2^63 + 2^10) * 2^8 + 1: its nearest double is (1 + 2^-52) * 2^71, but
+  // to_double keeps only the top 64 bits (2^63 + 2^10, a tie) and rounds
+  // that to even, 2^63, giving 2^71.  Pinned: eq-smt's double P depends on
+  // these exact bits.
+  const BigInt x = (BigInt{1}.shifted_left(63) + BigInt{1}.shifted_left(10))
+                       .shifted_left(8) +
+                   BigInt{1};
+  EXPECT_EQ(x.to_double(), std::ldexp(1.0, 71));
+  EXPECT_NE(x.to_double(), std::ldexp(1.0 + std::ldexp(1.0, -52), 71));
+  EXPECT_EQ(x.negated().to_double(), -std::ldexp(1.0, 71));
 }
 
 class BigIntRandomProperty : public ::testing::TestWithParam<unsigned> {};

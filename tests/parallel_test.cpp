@@ -189,6 +189,65 @@ TEST(JobPool, SequentialJobsReuseTheMostRecentlyIdleWorker) {
   EXPECT_NE(ran.front(), std::this_thread::get_id());
 }
 
+TEST(JobPool, AHelperFinishingAfterItsCallerDoesNotTakeTheNextJob) {
+  // A fan-out helper that ends after the job that offered it (it woke
+  // late, or its index ran long) must not land on top of the idle list:
+  // the caller's next job would move to the helper's thread and grow a
+  // second malloc arena to the size of the first.
+  constexpr std::size_t kThreads = 4;
+  JobPool pool{kThreads};
+  std::mutex mutex;
+  std::condition_variable cv;
+  // Warm-up as above: every worker has started and parked, so no thread
+  // that has yet to park can steal the jobs below.
+  std::size_t arrived = 0;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      if (++arrived == kThreads) cv.notify_all();
+      cv.wait(lock, [&] { return arrived == kThreads; });
+    });
+  pool.wait_idle();
+  bool helper_started = false;
+  bool caller_done = false;
+  bool released = false;
+  std::thread::id first, second;
+  pool.submit([&] {
+    first = std::this_thread::get_id();
+    ASSERT_TRUE(pool.submit(
+        [&] {
+          std::unique_lock<std::mutex> lock(mutex);
+          helper_started = true;
+          cv.notify_all();
+          cv.wait(lock, [&] { return released; });
+        },
+        /*only_if_idle=*/true));
+    // Wait until another worker runs the helper (the caller would
+    // otherwise steal it on its way to parking).
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return helper_started; });
+    caller_done = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return caller_done; });
+  }
+  // Let the caller's worker park first, so the helper's parks last: the
+  // order in which a most-recently-idle rule hands the next job to the
+  // helper.  The expectation below holds for either order.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+  pool.submit([&] { second = std::this_thread::get_id(); });
+  pool.wait_idle();
+  EXPECT_EQ(second, first);
+}
+
 TEST(JobPool, OnlyIfIdleSubmitsReachEveryWorkerOfAFreshPool) {
   // Workers count as idle from construction, before their threads run: a
   // fan-out right after a pool is built still finds its helpers.

@@ -108,6 +108,21 @@ TEST(Rational, ToDoubleHugeRatios) {
   EXPECT_NEAR(big.to_double() / (1e40 / 3.0), 1.0, 1e-9);
 }
 
+TEST(Rational, ToDoubleTruncatesThenRounds) {
+  // x = (2^63 + 2^10) * 2^8 + 1 has the nearest double (1 + 2^-52) * 2^71.
+  // to_double truncates the scaled quotient to 64 bits first, so the tie
+  // 2^63 + 2^10 rounds to even and x maps to 2^71 (BigInt::to_double does
+  // the same).  Pinned because eq-smt's double P is Rational::to_double.
+  const BigInt x = (BigInt{1}.shifted_left(63) + BigInt{1}.shifted_left(10))
+                       .shifted_left(8) +
+                   BigInt{1};
+  EXPECT_EQ(Rational(x, BigInt{1}).to_double(), std::ldexp(1.0, 71));
+  EXPECT_EQ(Rational(x, BigInt{1}.shifted_left(20)).to_double(),
+            std::ldexp(1.0, 51));
+  EXPECT_EQ(Rational(x.negated(), BigInt{1}).to_double(),
+            -std::ldexp(1.0, 71));
+}
+
 TEST(Rational, IsqrtExactAndBounds) {
   EXPECT_EQ(isqrt(BigInt{0}).to_int64(), 0);
   EXPECT_EQ(isqrt(BigInt{1}).to_int64(), 1);

@@ -3,13 +3,16 @@
 
 #include <random>
 
+#include "exact/sylvester.hpp"
 #include "numeric/lyapunov.hpp"
 #include "smt/charpoly.hpp"
 #include "smt/validate.hpp"
+#include "tick_clock.hpp"
 
 namespace spiv::smt {
 namespace {
 
+using exact::BigInt;
 using exact::RatMatrix;
 using exact::Rational;
 
@@ -110,6 +113,197 @@ TEST(CheckPd, EnginesAgreeOnRandomSymmetricMatrices) {
   }
 }
 
+/// Seeded random rational matrices of known definiteness class.
+class PdCorpus {
+ public:
+  enum class Kind { Pd, PsdSingular, Indefinite, ZeroMinor, NegativeMinor };
+
+  explicit PdCorpus(std::uint64_t seed) : rng_{seed} {}
+
+  /// Small numerator over a small denominator, so clearing denominators
+  /// needs a nontrivial lcm.
+  Rational entry() {
+    const auto num = static_cast<std::int64_t>(rng_() % 19) - 9;
+    const auto den = static_cast<std::int64_t>(rng_() % 12) + 1;
+    return Rational{num, den};
+  }
+
+  /// Random rows x cols matrix of entry()s.
+  RatMatrix random(std::size_t rows, std::size_t cols) {
+    RatMatrix b{rows, cols};
+    for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t j = 0; j < cols; ++j) b(i, j) = entry();
+    return b;
+  }
+
+  /// L diag(d) L^T with a random unit lower triangular L: its k-th leading
+  /// principal minor is d_1 * ... * d_k.
+  RatMatrix ldlt(const std::vector<Rational>& d) {
+    const std::size_t n = d.size();
+    RatMatrix l = RatMatrix::identity(n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < i; ++j) l(i, j) = entry();
+    RatMatrix dm{n, n};
+    for (std::size_t i = 0; i < n; ++i) dm(i, i) = d[i];
+    return l * dm * l.transposed();
+  }
+
+  /// Positive diagonal entries from 1/7 up to about 2^70 / 3, so the
+  /// cleared integers span several limbs.
+  Rational positive() {
+    const BigInt num = BigInt{static_cast<std::int64_t>(rng_() % 97 + 1)}
+                           .shifted_left(rng_() % 71);
+    return Rational{num, BigInt{static_cast<std::int64_t>(rng_() % 7 + 1)}};
+  }
+
+  RatMatrix make(Kind kind, std::size_t n) {
+    RatMatrix m;
+    switch (kind) {
+      case Kind::Pd: {
+        std::vector<Rational> d(n);
+        for (auto& v : d) v = positive();
+        m = ldlt(d);
+        break;
+      }
+      case Kind::PsdSingular: {
+        const RatMatrix b = random(n - 1, n);  // rank < n
+        m = b.transposed() * b;
+        break;
+      }
+      case Kind::Indefinite: {
+        // Inertia of a congruence: one negative pivot among positives
+        // (or a single negative entry at n = 1).
+        std::vector<Rational> d(n);
+        for (auto& v : d) v = positive();
+        d[rng_() % n] = -positive();
+        m = ldlt(d);
+        break;
+      }
+      case Kind::ZeroMinor:
+      case Kind::NegativeMinor: {
+        // Leading k x k block with a zero (singular PSD) or negative
+        // determinant, bordered by random entries: the k-th leading
+        // minor is that determinant, whatever the later ones are.
+        const std::size_t k = 1 + rng_() % n;
+        RatMatrix lead;
+        if (kind == Kind::ZeroMinor) {
+          const RatMatrix b = random(k - 1, k);
+          lead = b.transposed() * b;
+        } else {
+          std::vector<Rational> d(k);
+          for (auto& v : d) v = positive();
+          d[k - 1] = -positive();
+          lead = ldlt(d);
+        }
+        m = random(n, n);
+        m = m + m.transposed();
+        for (std::size_t i = 0; i < k; ++i)
+          for (std::size_t j = 0; j < k; ++j) m(i, j) = lead(i, j);
+        break;
+      }
+    }
+    return m;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+TEST(CheckPd, IntegerSylvesterAgreesWithRationalEnginesOnCorpus) {
+  using Kind = PdCorpus::Kind;
+  PdCorpus corpus{2026};
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (Kind kind : {Kind::Pd, Kind::PsdSingular, Kind::Indefinite,
+                      Kind::ZeroMinor, Kind::NegativeMinor}) {
+      const RatMatrix m = corpus.make(kind, n);
+      ASSERT_TRUE(m.is_symmetric());
+      const Outcome expected = kind == Kind::Pd ? Outcome::Valid
+                                                : Outcome::Invalid;
+      for (bool det : {false, true}) {
+        CheckOptions opts;
+        opts.det_encoding = det;
+        for (Engine e : {Engine::Sylvester, Engine::SympyGauss, Engine::Ldlt})
+          EXPECT_EQ(check_positive_definite(m, e, opts).outcome, expected)
+              << to_string(e) << " n=" << n << " kind="
+              << static_cast<int>(kind) << " det=" << det;
+      }
+    }
+  }
+}
+
+TEST(CheckPd, IntegerLieMatrixIsAPositiveMultipleOfTheRationalOne) {
+  PdCorpus corpus{7};
+  for (std::size_t n = 1; n <= 8; ++n) {
+    const RatMatrix a = corpus.random(n, n);
+    RatMatrix p = corpus.make(PdCorpus::Kind::Pd, n);
+    const RatMatrix lie = -(a.transposed() * p + p * a);
+    const exact::IntMatrix lie_int = exact::lie_matrix(
+        exact::IntMatrix::cleared(a), exact::IntMatrix::cleared(p));
+    // One positive rational c with lie_int == c * lie, entry by entry.
+    std::optional<Rational> c;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        const Rational v{lie_int(i, j), BigInt{1}};
+        if (!c && !lie(i, j).is_zero()) c = v / lie(i, j);
+        if (c) {
+          EXPECT_EQ(v, *c * lie(i, j)) << n << ": " << i << "," << j;
+        } else {
+          EXPECT_TRUE(v.is_zero());
+        }
+      }
+    if (c) {
+      EXPECT_GT(c->sign(), 0);
+    }
+  }
+}
+
+TEST(ValidateLyapunov, IntegerSylvesterAgreesWithRationalEnginesOnCandidates) {
+  // Random stable A with its Lyapunov solution P (valid), P shifted below
+  // its smallest eigenvalue (positivity fails) and P with one diagonal
+  // entry scaled up (decrease usually fails): all three rational engines
+  // must give the same two verdicts as the integer Sylvester check.
+  std::mt19937_64 rng{48};
+  std::normal_distribution<double> dist;
+  int not_positive = 0, not_decreasing = 0, valid = 0;
+  for (std::size_t n = 2; n <= 8; ++n) {
+    numeric::Matrix a{n, n};
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) a(i, j) = dist(rng);
+    double shift = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double row = 0.0;
+      for (std::size_t j = 0; j < n; ++j) row += std::abs(a(i, j));
+      shift = std::max(shift, row);
+    }
+    for (std::size_t i = 0; i < n; ++i) a(i, i) -= shift + 0.5;
+    auto p = numeric::solve_lyapunov(a, numeric::Matrix::identity(n));
+    ASSERT_TRUE(p.has_value());
+    numeric::Matrix shifted = *p;
+    for (std::size_t i = 0; i < n; ++i) shifted(i, i) -= 2.0 * (*p)(i, i);
+    numeric::Matrix skewed = *p;
+    skewed(0, 0) *= 40.0;
+    for (const numeric::Matrix& cand : {*p, shifted, skewed}) {
+      for (int digits : {10, 3, 0}) {
+        const auto ref = validate_lyapunov(a, cand, Engine::Sylvester, digits);
+        not_positive += ref.positivity.outcome == Outcome::Invalid;
+        not_decreasing += ref.decrease.outcome == Outcome::Invalid;
+        valid += ref.valid();
+        for (Engine e : {Engine::SympyGauss, Engine::Ldlt}) {
+          const auto v = validate_lyapunov(a, cand, e, digits);
+          EXPECT_EQ(v.positivity.outcome, ref.positivity.outcome)
+              << to_string(e) << " n=" << n << " digits=" << digits;
+          EXPECT_EQ(v.decrease.outcome, ref.decrease.outcome)
+              << to_string(e) << " n=" << n << " digits=" << digits;
+        }
+      }
+    }
+  }
+  // The corpus exercises every verdict combination it is meant to.
+  EXPECT_GT(not_positive, 0);
+  EXPECT_GT(not_decreasing, 0);
+  EXPECT_GT(valid, 0);
+}
+
 TEST(CheckPd, SmtEnginesProduceExactWitnesses) {
   RatMatrix indef{{q(1), q(3)}, {q(3), q(1)}};
   for (Engine e : {Engine::SmtZ3Style, Engine::SmtCvc5Style}) {
@@ -135,6 +329,18 @@ TEST(CheckPd, RespectsDeadline) {
             Outcome::Timeout);
   EXPECT_EQ(check_positive_definite(big, Engine::SmtZ3Style, opts).outcome,
             Outcome::Timeout);
+  {
+    // Every clock read advances one 1 ms tick.  The check reads the clock
+    // once for its start time and once per deadline poll: 12 per-column
+    // polls alone stay inside a 20-tick budget, so only the per-row polls
+    // (66 more on a 12 x 12 matrix) can run it out.
+    ScopedTickClock clock;
+    opts.deadline = Deadline::after_seconds(0.020);
+    EXPECT_EQ(check_positive_definite(big, Engine::Sylvester, opts).outcome,
+              Outcome::Timeout);
+  }
+  EXPECT_EQ(check_positive_definite(big, Engine::Sylvester).outcome,
+            Outcome::Valid);
 }
 
 TEST(CheckPd, RejectsNonSymmetric) {
